@@ -684,7 +684,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				w.Cleanup()
 				b.Fatal(err)
 			}
-			size, _, err := w.CountRuns(-1, 1, func(_ int, m map[string]int) bool {
+			size, _, err := w.CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
 				peak = max(peak, liveHeap())
 				return true
 			})
@@ -724,7 +724,7 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 				b.Fatal(err)
 			}
 			merged := make(map[string]int)
-			_, _, err = w.CountRuns(-1, 1, func(_ int, m map[string]int) bool {
+			_, _, err = w.CountRunsCtx(nil, -1, 1, func(_ int, m map[string]int) bool {
 				for key, c := range m {
 					merged[key] = c
 				}
@@ -764,9 +764,10 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 
 // BenchmarkSharedSpillPartition measures the shared-scan partition phase:
 // a frontier of n spilled uint64-key sets (11-attribute subsets of the
-// wide dataset, each over budget) sized through LabelSizesFused in one
-// shared dataset pass versus one pass per set (the pre-shared baseline,
-// via DisableSharedSpill). partition-passes/op counts dataset scans spent
+// wide dataset, each over budget) sized through one LabelSizesFused call —
+// one shared dataset pass — versus one LabelSizesFused call per set (n
+// one-target passes, the pre-shared baseline). partition-passes/op counts
+// dataset scans spent
 // partitioning and rows-read/op the partition-phase row reads they imply:
 // shared mode stays at one pass while the baseline grows linearly with n.
 func BenchmarkSharedSpillPartition(b *testing.B) {
@@ -780,17 +781,25 @@ func BenchmarkSharedSpillPartition(b *testing.B) {
 			// count — far over the budget, so every set spills.
 			sets[i] = full.Remove(i)
 		}
+		// Each mode's frontier calls: the whole frontier at once, or one
+		// single-set frontier per set.
+		perset := make([][]lattice.AttrSet, nsets)
+		for i, s := range sets {
+			perset[i] = []lattice.AttrSet{s}
+		}
 		for _, mode := range []struct {
-			name    string
-			disable bool
-		}{{"shared", false}, {"perset", true}} {
+			name      string
+			frontiers [][]lattice.AttrSet
+		}{{"shared", [][]lattice.AttrSet{sets}}, {"perset", perset}} {
 			b.Run(fmt.Sprintf("sets=%d/%s", nsets, mode.name), func(b *testing.B) {
 				var stats core.ScanStats
-				opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats, DisableSharedSpill: mode.disable}
+				opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
 				for i := 0; i < b.N; i++ {
-					sizes, within := core.LabelSizesFused(d, sets, -1, opts)
-					if !within[0] || sizes[0] == 0 {
-						b.Fatal("unbounded sizing failed")
+					for _, f := range mode.frontiers {
+						sizes, within := core.LabelSizesFused(d, f, -1, opts)
+						if !within[0] || sizes[0] == 0 {
+							b.Fatal("unbounded sizing failed")
+						}
 					}
 				}
 				if stats.Spilled != int64(nsets)*int64(b.N) || stats.SpillFallbacks != 0 {
@@ -835,7 +844,7 @@ func BenchmarkSharedSpillPartition(b *testing.B) {
 					mw.Cleanup()
 					b.Fatal(err)
 				}
-				size, _, err := mw.Writer(t).CountRunsU64(-1, 1, nil)
+				size, _, err := mw.Writer(t).CountRunsU64Ctx(nil, -1, 1, nil)
 				if err != nil || size == 0 {
 					mw.Cleanup()
 					b.Fatalf("target %d: size=%d err=%v", t, size, err)

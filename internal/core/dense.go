@@ -346,12 +346,14 @@ type ScanStats struct {
 	// set re-counted in memory. A climbing counter here means the spill
 	// volume is full — the engine keeps answering exactly, but over budget.
 	SpillNoSpaceFallbacks int64
-	// SharedSpillPasses counts shared partition passes: a frontier with
-	// several spilled sets partitions all of them in ONE dataset scan
-	// (spill.MultiWriter) instead of one scan per set.
+	// SharedSpillPasses counts shared partition passes: every spill scan
+	// partitions its sets in ONE dataset pass (spill.MultiWriter), and a
+	// pass counts as shared when it serves two or more sets. A lone
+	// spilled set's pass is not counted here.
 	SharedSpillPasses int64
 	// SpillPassesSaved totals the dataset partition scans the shared
-	// passes avoided: sets-in-pass minus one, summed over passes.
+	// passes avoided against sizing each set alone: sets-in-pass minus
+	// one, summed over passes.
 	SpillPassesSaved int64
 	// SpillReadErrors counts failed run-read attempts on merge-on-read
 	// indexes (each failed scan, including failed retries).

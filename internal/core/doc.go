@@ -45,14 +45,13 @@
 //     is exempt: its flat state is bounded by the dense slot limit.
 //   - byte spill: byte-key sets over the budget — the unbounded-domain,
 //     out-of-core case — spill 2-bytes-per-member records.
-//   - shared spill partition: a frontier with several spilled sets
-//     partitions all of them in ONE blocked dataset pass
-//     (labelSizesSpilledShared over spill.MultiWriter): every set's keys
-//     are computed per cache-resident row block and routed into that
-//     set's own run files, byte-identical to the per-set pass, with the
-//     flush buffers drawing on a shared budget slice. Counting is then
-//     per set, exactly as below; CountOptions.DisableSharedSpill restores
-//     the per-set passes as an ablation baseline.
+//   - spill partition: every spill scan partitions its sets in ONE
+//     blocked dataset pass (sharedSpillPartition over spill.MultiWriter):
+//     each set's keys are computed per cache-resident row block and routed
+//     into that set's own run files, with the flush buffers drawing on
+//     half the budget split over the scan workers. A frontier's spilled
+//     sets share one pass; a lone spilled set and a budgeted build are the
+//     same pass with one target. Counting is then per set, as below.
 //
 // Both spill formats share the machinery (spillcount.go over
 // internal/spill): keys hash-partition into K on-disk runs sized so one
@@ -61,12 +60,12 @@
 // distinct total (exact cap-abort across workers), and counts merge with
 // the exact cap-abort of label sizing (per-run counts are final and the
 // distinct total is a monotone sum). Fused frontier scans exclude spilled
-// sets and size them afterwards, in frontier order: one spill scan for a
-// lone spilled set, the shared partition pass when there are several
-// (ScanStats.SharedSpillPasses/SpillPassesSaved meter the saved scans).
-// Disk trouble during any spill scan degrades per set, never per pass:
-// the affected set re-counts in memory with the caller's full options
-// (budget cleared), siblings keep their on-disk results.
+// sets and size them afterwards, in frontier order, off the frontier's
+// one partition pass (ScanStats.SharedSpillPasses/SpillPassesSaved meter
+// the scans saved by passes serving two or more sets). Disk trouble
+// during a spill scan degrades per set, never per pass: the affected set
+// re-counts in memory with the caller's full options (budget cleared),
+// siblings keep their on-disk results.
 // Budgeted builds are bounded end to end: a result map that models over
 // the budget is not materialized — the PC retains its runs and serves
 // Size/LookupVals/Each merge-on-read (spilledpc.go), streaming runs

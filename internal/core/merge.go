@@ -527,7 +527,7 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 	entry := outFormat.entryBytes(k)
 	out := &PC{keyer: k}
 	if outFormat == spillFmtU64 {
-		m, size, err := countMerge(nw.CountRunsU64, workers, budget, entry, runSizes)
+		m, size, err := countMerge(nil, nw.CountRunsU64Ctx, workers, budget, entry, runSizes)
 		if err != nil {
 			return nil, err
 		}
@@ -541,7 +541,7 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 		out.sp = newSpilledPC(nw, k, outFormat, size, runSizes, budget, opts.Stats)
 		return out, nil
 	}
-	m, size, err := countMerge(nw.CountRuns, workers, budget, entry, runSizes)
+	m, size, err := countMerge(nil, nw.CountRunsCtx, workers, budget, entry, runSizes)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +580,7 @@ func finishSpilledMerge(sp *spilledPC, w *spill.Writer, k *Keyer, format spillFo
 	if int64(newSize)*entry <= budget {
 		if format == spillFmtU64 {
 			m := make(map[uint64]int, newSize)
-			if _, _, err := w.CountRunsU64(-1, workers, func(_ int, counts map[uint64]int) bool {
+			if _, _, err := w.CountRunsU64Ctx(nil, -1, workers, func(_ int, counts map[uint64]int) bool {
 				for key, c := range counts {
 					m[key] = c
 				}
@@ -591,7 +591,7 @@ func finishSpilledMerge(sp *spilledPC, w *spill.Writer, k *Keyer, format spillFo
 			out.u = m
 		} else {
 			m := make(map[string]int, newSize)
-			if _, _, err := w.CountRuns(-1, workers, func(_ int, counts map[string]int) bool {
+			if _, _, err := w.CountRunsCtx(nil, -1, workers, func(_ int, counts map[string]int) bool {
 				for key, c := range counts {
 					m[key] = c
 				}

@@ -84,13 +84,6 @@ type CountOptions struct {
 	// and the merge-on-read error paths.
 	FS iofault.FS
 
-	// DisableSharedSpill forces the per-set spill partition path even when
-	// a frontier has several spilled sets — each set then re-scans the
-	// dataset itself, the pre-shared-pass behaviour. Results are identical
-	// either way; differential tests and the BenchmarkSharedSpillPartition
-	// baseline use it as the ablation knob.
-	DisableSharedSpill bool
-
 	// Ctx, when non-nil, arms cooperative cancellation: scans check it at
 	// block granularity (fused scans and build kernels, every
 	// fusedBlockRows rows), run granularity (K-way spill counting) and
@@ -162,29 +155,13 @@ func LabelSizeParallel(d *dataset.Dataset, s lattice.AttrSet, cap int, opts Coun
 // error: with CountOptions.Ctx armed, a fired context aborts the scan at
 // the next block (or spill-run) boundary and surfaces the typed context
 // error. Disk trouble on the spill tier is not an error here — it degrades
-// to the in-memory kernels exactly as before, metered in ScanStats.
+// to the in-memory kernels, metered in ScanStats.
 func LabelSizeParallelE(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
-	stop := opts.stop()
-	if opts.MemBudget > 0 {
-		k := NewKeyer(d, s)
-		workers := opts.scanWorkers(d.NumRows())
-		if runs, format, spillOK := opts.spillFor(k, d.NumRows(), workers); spillOK {
-			sz, w, serr := labelSizeSpill(k, datasetCols(d), d.NumRows(), workers, runs, format, opts, cap)
-			if serr == nil {
-				return sz, w, nil
-			}
-			if isCtxErr(serr) {
-				return 0, false, serr
-			}
-			// Disk trouble: the in-memory paths below produce the identical
-			// result at unbounded memory.
-			opts.Stats.addSpillFallbackErr(serr)
-		}
-	}
-	// The sequential LabelSize loop has no cancellation points; with an
-	// armed context the single-set fused scan (bit-identical results)
-	// carries the per-block checks instead.
-	if opts.scanWorkers(d.NumRows()) <= 1 && stop.done == nil {
+	// The sequential LabelSize loop has no cancellation points and no spill
+	// tier; with an armed context or a memory budget the single-set fused
+	// scan (bit-identical results) carries the per-block checks and the
+	// spill routing instead.
+	if opts.MemBudget <= 0 && opts.scanWorkers(d.NumRows()) <= 1 && opts.stop().done == nil {
 		sz, w := LabelSize(d, s, cap)
 		return sz, w, nil
 	}
@@ -221,10 +198,11 @@ type fusedSet struct {
 // Under a CountOptions.MemBudget, map-kernel sets (uint64 or byte keys)
 // whose estimated map footprint exceeds the budget do not join the fused
 // in-memory scan at all — their seen-sets are exactly the unbounded state
-// the budget forbids. They are sized afterwards, one external spill
-// group-by each (uint64 or byte record format, matching the key encoding,
-// with K-way parallel run counting), in frontier order (deterministic for
-// every worker count); all other sets scan fused as usual.
+// the budget forbids. They are sized afterwards off one shared partition
+// pass over the dataset (uint64 or byte record format per set, matching
+// the key encoding), each set's runs counted K-way in parallel in frontier
+// order (deterministic for every worker count); all other sets scan fused
+// as usual.
 //
 // If an armed CountOptions.Ctx fires mid-scan it panics; ctx-arming
 // callers use LabelSizesFusedE.
@@ -274,8 +252,8 @@ func planSpilledSets(d *dataset.Dataset, sets []lattice.AttrSet, opts CountOptio
 }
 
 // labelSizesSplit sizes a frontier whose spill plan is non-empty: the
-// in-memory sets run through the fused scan, then each spilled set runs
-// its own partitioned on-disk group-by.
+// in-memory sets run through the fused scan, then every spilled set is
+// sized off one shared partition pass (labelSizesSpilledShared).
 func labelSizesSplit(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, spilled []spilledSet) (sizes []int, within []bool, err error) {
 	sizes = make([]int, len(sets))
 	within = make([]bool, len(sets))
@@ -300,33 +278,8 @@ func labelSizesSplit(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts C
 			sizes[i], within[i] = subSizes[j], subWithin[j]
 		}
 	}
-	if len(spilled) > 1 && !opts.DisableSharedSpill {
-		// One shared partition pass over the dataset routes every spilled
-		// set's records at once; the runs are then counted per set exactly
-		// as below (labelSizeSpillShared).
-		if err := labelSizesSpilledShared(d, sets, cap, opts, spilled, sizes, within); err != nil {
-			return nil, nil, err
-		}
-		return sizes, within, nil
-	}
-	rows := d.NumRows()
-	cols := datasetCols(d)
-	workers := opts.scanWorkers(rows)
-	for _, sp := range spilled {
-		sz, w, serr := labelSizeSpill(sp.k, cols, rows, workers, sp.runs, sp.format, opts, cap)
-		if serr != nil {
-			if isCtxErr(serr) {
-				return nil, nil, serr
-			}
-			// Disk trouble: in-memory fallback for this one set, identical
-			// result at unbounded memory.
-			opts.Stats.addSpillFallbackErr(serr)
-			sz, w, serr = labelSizeFallback(d, sets[sp.idx], cap, opts)
-			if serr != nil {
-				return nil, nil, serr
-			}
-		}
-		sizes[sp.idx], within[sp.idx] = sz, w
+	if err := labelSizesSpilledShared(d, sets, cap, opts, spilled, sizes, within); err != nil {
+		return nil, nil, err
 	}
 	return sizes, within, nil
 }

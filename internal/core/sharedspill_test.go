@@ -1,13 +1,14 @@
 package core
 
-// Differential coverage for the shared-scan spill partitioner: a frontier
-// with several spilled sets must size bit-identically through the shared
-// pass (one dataset partition scan, spill.MultiWriter), the per-set path
-// (DisableSharedSpill) and the sequential LabelSize oracle — for every
-// worker count, across the cap grid, for byte and uint64 record formats
-// and for frontiers mixing both with in-memory sets. The shared pass is
-// pure plumbing: runs are byte-identical to per-set runs and counting is
-// unchanged, so any divergence here is a routing bug.
+// Differential coverage for the spill partitioner: a frontier's spilled
+// sets must size bit-identically through its one partition pass (one
+// dataset scan, spill.MultiWriter), through budgeted single-set
+// LabelSizeParallelE calls (one one-target pass each) and through the
+// sequential LabelSize oracle — for every worker count, across the cap
+// grid, for byte and uint64 record formats, for frontiers mixing both with
+// in-memory sets and for a frontier whose pass has a single target. The
+// pass is pure plumbing: each target's runs hold exactly its records and
+// counting is unchanged, so any divergence here is a routing bug.
 
 import (
 	"testing"
@@ -33,10 +34,12 @@ func sharedSpillCaps(d *dataset.Dataset, sets []lattice.AttrSet) []int {
 	return []int{-1, 0, 1, minSz - 1, minSz, maxSz - 1, maxSz, maxSz + 1}
 }
 
-// runSharedSpillDifferential sizes the frontier in both modes across the
-// worker and cap grids, comparing every result to the sequential oracle
-// and asserting the shared pass's stats accounting. wantSpilled is the
-// number of frontier sets the spill plan must route to disk.
+// runSharedSpillDifferential sizes the frontier whole (LabelSizesFused)
+// and set by set (budgeted LabelSizeParallelE) across the worker and cap
+// grids, comparing every result to the sequential oracle and asserting the
+// pass accounting. wantSpilled is the number of frontier sets the spill
+// plan must route to disk; a pass counts as shared only when it serves two
+// or more of them.
 func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice.AttrSet, budget int64, wantSpilled int, wantBothFormats bool) {
 	t.Helper()
 	caps := sharedSpillCaps(d, sets)
@@ -53,42 +56,55 @@ func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice
 		}
 		oracle[cap] = res
 	}
+	wantPasses, wantSaved := int64(0), int64(0)
+	if wantSpilled > 1 {
+		wantPasses, wantSaved = 1, int64(wantSpilled-1)
+	}
 	for _, workers := range diffWorkerCounts {
 		for _, cap := range caps {
-			for _, disable := range []bool{false, true} {
+			for _, single := range []bool{false, true} {
 				dir := t.TempDir()
 				var stats ScanStats
 				opts := testCountOptions(workers)
 				opts.MemBudget = budget
 				opts.SpillDir = dir
 				opts.Stats = &stats
-				opts.DisableSharedSpill = disable
-				sizes, within := LabelSizesFused(d, sets, cap, opts)
+				sizes := make([]int, len(sets))
+				within := make([]bool, len(sets))
+				if single {
+					for i, s := range sets {
+						sz, w, err := LabelSizeParallelE(d, s, cap, opts)
+						if err != nil {
+							t.Fatalf("workers=%d cap=%d set %v: %v", workers, cap, s, err)
+						}
+						sizes[i], within[i] = sz, w
+					}
+				} else {
+					sizes, within = LabelSizesFused(d, sets, cap, opts)
+				}
 				for i := range sets {
 					want := oracle[cap][i]
 					if sizes[i] != want.size || within[i] != want.within {
-						t.Fatalf("workers=%d cap=%d disable=%v set %v: (%d,%v), oracle (%d,%v)",
-							workers, cap, disable, sets[i], sizes[i], within[i], want.size, want.within)
+						t.Fatalf("workers=%d cap=%d single=%v set %v: (%d,%v), oracle (%d,%v)",
+							workers, cap, single, sets[i], sizes[i], within[i], want.size, want.within)
 					}
 				}
 				if stats.Spilled != int64(wantSpilled) || stats.SpillFallbacks != 0 {
-					t.Fatalf("workers=%d cap=%d disable=%v: Spilled=%d Fallbacks=%d, want %d spilled",
-						workers, cap, disable, stats.Spilled, stats.SpillFallbacks, wantSpilled)
+					t.Fatalf("workers=%d cap=%d single=%v: Spilled=%d Fallbacks=%d, want %d spilled",
+						workers, cap, single, stats.Spilled, stats.SpillFallbacks, wantSpilled)
 				}
 				if wantBothFormats && (stats.SpilledU64 == 0 || stats.SpilledU64 == stats.Spilled) {
-					t.Fatalf("workers=%d cap=%d disable=%v: SpilledU64=%d of %d, want both formats",
-						workers, cap, disable, stats.SpilledU64, stats.Spilled)
+					t.Fatalf("workers=%d cap=%d single=%v: SpilledU64=%d of %d, want both formats",
+						workers, cap, single, stats.SpilledU64, stats.Spilled)
 				}
-				if disable {
+				if single {
 					if stats.SharedSpillPasses != 0 || stats.SpillPassesSaved != 0 {
-						t.Fatalf("per-set path recorded shared passes: %d/%d",
+						t.Fatalf("single-set passes recorded as shared: %d/%d",
 							stats.SharedSpillPasses, stats.SpillPassesSaved)
 					}
-				} else {
-					if stats.SharedSpillPasses != 1 || stats.SpillPassesSaved != int64(wantSpilled-1) {
-						t.Fatalf("workers=%d cap=%d: SharedSpillPasses=%d SpillPassesSaved=%d, want 1/%d",
-							workers, cap, stats.SharedSpillPasses, stats.SpillPassesSaved, wantSpilled-1)
-					}
+				} else if stats.SharedSpillPasses != wantPasses || stats.SpillPassesSaved != wantSaved {
+					t.Fatalf("workers=%d cap=%d: SharedSpillPasses=%d SpillPassesSaved=%d, want %d/%d",
+						workers, cap, stats.SharedSpillPasses, stats.SpillPassesSaved, wantPasses, wantSaved)
 				}
 				assertNoSpillFiles(t, dir)
 			}
@@ -144,4 +160,25 @@ func TestDifferentialSharedSpillU64Frontier(t *testing.T) {
 		t.Fatalf("frontier not pure uint64: %d of %d spilled sets", stats.SpilledU64, stats.Spilled)
 	}
 	runSharedSpillDifferential(t, d, sets, budget, len(sets), false)
+}
+
+// TestDifferentialSharedSpillLoneSet pins the one-target pass: a frontier
+// whose only spilled set is the byte-key full set (6 attributes at domain
+// 65000 overflow uint64), beside in-memory sets — the empty set (dense),
+// a singleton and a pair (uint64 map kernels whose footprint stays under
+// the budget). The lone set must size through the same MultiWriter pass
+// as a shared frontier and record no shared pass.
+func TestDifferentialSharedSpillLoneSet(t *testing.T) {
+	cfg := diffConfig{rows: 2500, attrs: 6, domain: 65000, nullRate: 0.1}
+	d := diffDataset(t, cfg, 0x8A)
+	full := lattice.FullSet(cfg.attrs)
+	pair := lattice.NewAttrSet(0).Add(1)
+	sets := []lattice.AttrSet{0, lattice.NewAttrSet(2), full, pair}
+	if NewKeyer(d, full).Fits() || !NewKeyer(d, pair).Fits() {
+		t.Fatal("want a byte-key full set and a uint64-key pair")
+	}
+	// Between the uint64 map footprint (56 B/row) and the full set's byte
+	// footprint (76 B/row): only the full set is over budget.
+	budget := int64(cfg.rows) * 64
+	runSharedSpillDifferential(t, d, sets, budget, 1, false)
 }

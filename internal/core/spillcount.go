@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 
@@ -46,6 +47,18 @@ const (
 	// (mixed-radix key fits uint64) counted into map[uint64]int.
 	spillFmtU64
 )
+
+// config is the spill writer configuration for one target of a partition
+// pass.
+func (sp spilledSet) config(opts CountOptions) spill.Config {
+	return spill.Config{
+		RecWidth: sp.format.recWidth(sp.k),
+		Runs:     sp.runs,
+		Dir:      opts.SpillDir,
+		Pool:     opts.Pool,
+		FS:       opts.FS,
+	}
+}
 
 // spillEntryBytes is the deterministic per-distinct-key cost estimate of
 // the byte map kernel: string header, map bucket share and bookkeeping
@@ -157,17 +170,9 @@ func (st *ScanStats) addSpill(s spill.Stats, format spillFormat, countWorkers in
 	}
 }
 
-// addSpillFallback records one disk-trouble in-memory fallback: a spill
+// addSpillFallbackErr records one disk-trouble in-memory fallback: a spill
 // scan that could not complete (writer creation, partition write or run
-// count failed) and was re-run with the unbounded in-memory kernel.
-func (st *ScanStats) addSpillFallback() {
-	if st == nil {
-		return
-	}
-	atomic.AddInt64(&st.SpillFallbacks, 1)
-}
-
-// addSpillFallbackErr is addSpillFallback with error classification: a
+// count failed) and was re-run with the unbounded in-memory kernel. A
 // fallback caused by disk exhaustion (the error wraps spill.ErrNoSpace,
 // i.e. the filesystem reported ENOSPC) additionally bumps the dedicated
 // no-space counter, so operators can tell a full disk from flaky I/O in
@@ -183,10 +188,11 @@ func (st *ScanStats) addSpillFallbackErr(err error) {
 	}
 }
 
-// addSharedSpillPass records one shared partition pass over n spilled
-// sets: one dataset scan where the per-set path would have taken n.
+// addSharedSpillPass records one partition pass over n spilled sets: one
+// dataset scan where sizing each set alone would have taken n. A pass with
+// a single target is not shared and records nothing.
 func (st *ScanStats) addSharedSpillPass(n int) {
-	if st == nil {
+	if st == nil || n < 2 {
 		return
 	}
 	atomic.AddInt64(&st.SharedSpillPasses, 1)
@@ -204,59 +210,6 @@ func labelSizeFallback(d *dataset.Dataset, s lattice.AttrSet, cap int, opts Coun
 	return LabelSizeParallelE(d, s, cap, opts)
 }
 
-// spillPartition is the shared partition phase: rows shard across workers,
-// each worker streaming its chunk's keys into a private ShardWriter —
-// columnar uint64 key blocks for the u64 format, per-row byte keys for the
-// byte format. Partition files are append-shared, which is safe because
-// flushes are whole records and group-by is order-blind. stop is polled
-// once per key block; a fired context makes workers stop routing rows and
-// close their shards — the caller then discards the (partial) runs via its
-// deferred Cleanup and reports stop.err().
-func spillPartition(w *spill.Writer, k *Keyer, cols [][]uint16, rows, workers int, format spillFormat, pool *VecPool, stop ctxStop) error {
-	errs := make([]error, workers)
-	workpool.RunChunks(rows, workers, func(wk, lo, hi int) {
-		sw := w.Shard()
-		if format == spillFmtU64 {
-			keys := pool.Uint64(keyBlockRows, false)
-			for blo := lo; blo < hi; blo += keyBlockRows {
-				if stop.hit() {
-					break
-				}
-				bhi := min(blo+keyBlockRows, hi)
-				k.KeyBlock(cols, blo, bhi, keys)
-				for _, key := range keys[:bhi-blo] {
-					if key != InvalidKey {
-						sw.AddU64(key)
-					}
-				}
-			}
-			pool.PutUint64(keys)
-		} else {
-			var buf []byte
-			for blo := lo; blo < hi; blo += keyBlockRows {
-				if stop.hit() {
-					break
-				}
-				bhi := min(blo+keyBlockRows, hi)
-				for r := blo; r < bhi; r++ {
-					b, keyOK := k.AppendBytesRow(buf[:0], cols, r)
-					buf = b
-					if keyOK {
-						sw.Add(b)
-					}
-				}
-			}
-		}
-		errs[wk] = sw.Close()
-	})
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return stop.err()
-}
-
 // countMerge folds the runs of a build-mode spill scan: runs merge into
 // one map while the modeled merged footprint stays within the budget; the
 // first run that would cross it drops the partial merge and the scan
@@ -266,12 +219,13 @@ func spillPartition(w *spill.Writer, k *Keyer, cols [][]uint16, rows, workers in
 // outcome is independent of the (parallel) run completion order. A nil
 // returned map means "stream": the result models over budget.
 func countMerge[K comparable](
-	count func(cap, workers int, emit func(run int, counts map[K]int) bool) (int, bool, error),
+	ctx context.Context,
+	count func(ctx context.Context, cap, workers int, emit func(run int, counts map[K]int) bool) (int, bool, error),
 	workers int, budget, entry int64, runSizes []int,
 ) (merged map[K]int, size int, err error) {
 	merged = make(map[K]int)
 	over := false
-	size, _, err = count(-1, workers, func(run int, counts map[K]int) bool {
+	size, _, err = count(ctx, -1, workers, func(run int, counts map[K]int) bool {
 		runSizes[run] = len(counts)
 		if !over {
 			if int64(len(merged)+len(counts))*entry > budget {
@@ -316,40 +270,39 @@ func buildPCSpill(k *Keyer, cols [][]uint16, rows, workers, runs int, format spi
 	return pc, nil
 }
 
+// buildPCSpillScan partitions the dataset as a one-target shared pass —
+// the same MultiWriter partition and flush-buffer budget frontier sizing
+// uses — then folds the runs with countMerge. A result that models over
+// the budget keeps the runs: the spilledPC takes over the writer and its
+// directory for merge-on-read.
 func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions) (pc *PC, err error) {
-	w, err := spill.NewWriter(spill.Config{
-		RecWidth: format.recWidth(k),
-		Runs:     runs,
-		Dir:      opts.SpillDir,
-		Pool:     opts.Pool,
-		FS:       opts.FS,
-	})
-	if err != nil {
-		return nil, err
-	}
+	target := []spilledSet{{runs: runs, format: format, k: k}}
+	mw := spill.NewMultiWriter([]spill.Config{target[0].config(opts)}, sharedSpillBufShare(opts.MemBudget, workers))
 	// Cleanup runs on every exit — success, error, cancellation and panic
 	// alike — except when the result keeps the runs for merge-on-read
 	// reading (the spilledPC then owns the writer and its directory).
 	keep := false
 	defer func() {
 		if !keep {
-			w.Cleanup()
+			mw.Cleanup()
 		}
 	}()
 	stop := opts.stop()
-	if err := spillPartition(w, k, cols, rows, workers, format, opts.Pool, stop); err != nil {
+	sharedSpillPartition(mw, target, cols, rows, workers, opts.Pool, stop)
+	if err := stop.err(); err != nil {
 		return nil, err
 	}
+	if err := mw.Err(0); err != nil {
+		return nil, err
+	}
+	w := mw.Writer(0)
 
 	countWorkers := workpool.Resolve(workers, runs)
 	entry := format.entryBytes(k)
 	runSizes := make([]int, runs)
 	pc = &PC{keyer: k}
 	if format == spillFmtU64 {
-		count := func(cap, workers int, emit func(run int, counts map[uint64]int) bool) (int, bool, error) {
-			return w.CountRunsU64Ctx(opts.Ctx, cap, workers, emit)
-		}
-		m, size, err := countMerge(count, workers, opts.MemBudget, entry, runSizes)
+		m, size, err := countMerge(opts.Ctx, w.CountRunsU64Ctx, workers, opts.MemBudget, entry, runSizes)
 		if err != nil {
 			return nil, err
 		}
@@ -362,10 +315,7 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format
 		pc.sp = newSpilledPC(w, k, format, size, runSizes, opts.MemBudget, opts.Stats)
 		return pc, nil
 	}
-	count := func(cap, workers int, emit func(run int, counts map[string]int) bool) (int, bool, error) {
-		return w.CountRunsCtx(opts.Ctx, cap, workers, emit)
-	}
-	m, size, err := countMerge(count, workers, opts.MemBudget, entry, runSizes)
+	m, size, err := countMerge(opts.Ctx, w.CountRunsCtx, workers, opts.MemBudget, entry, runSizes)
 	if err != nil {
 		return nil, err
 	}
@@ -379,46 +329,11 @@ func buildPCSpillScan(k *Keyer, cols [][]uint16, rows, workers, runs int, format
 	return pc, nil
 }
 
-// labelSizeSpill is the external-memory LabelSize kernel: exactly the
-// sequential cap-abort contract, with peak memory bounded by one run's map
-// per counting worker instead of the distinct-key count. A non-nil error
-// is either disk trouble — the caller falls back to an in-memory scan —
-// or a context error, which the caller propagates instead.
-func labelSizeSpill(k *Keyer, cols [][]uint16, rows, workers, runs int, format spillFormat, opts CountOptions, cap int) (size int, within bool, err error) {
-	w, err := spill.NewWriter(spill.Config{
-		RecWidth: format.recWidth(k),
-		Runs:     runs,
-		Dir:      opts.SpillDir,
-		Pool:     opts.Pool,
-		FS:       opts.FS,
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	// Deferred before anything else so the run files are removed on
-	// success, cap-abort, error, cancellation and panic alike.
-	defer w.Cleanup()
-	if err := spillPartition(w, k, cols, rows, workers, format, opts.Pool, opts.stop()); err != nil {
-		return 0, false, err
-	}
-	if format == spillFmtU64 {
-		size, within, err = w.CountRunsU64Ctx(opts.Ctx, cap, workers, nil)
-	} else {
-		size, within, err = w.CountRunsCtx(opts.Ctx, cap, workers, nil)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	opts.Stats.addSpill(w.Stats(), format, workpool.Resolve(workers, runs))
-	return size, within, nil
-}
-
 // sharedSpillBufShare is the flush-buffer budget one partition shard of a
-// shared pass may hold across every spilled set: half the memory budget
+// spill pass may hold across every target set: half the memory budget
 // split over the scan workers. The other half stays free for the counting
-// phase that follows (one run map per count worker, the same bound the
-// per-set path keeps), so N sets' live flush buffers plus one counting map
-// still fit the budget.
+// phase that follows (one run map per count worker), so N sets' live flush
+// buffers plus one counting map still fit the budget.
 func sharedSpillBufShare(budget int64, workers int) int64 {
 	if workers < 1 {
 		workers = 1
@@ -428,27 +343,21 @@ func sharedSpillBufShare(budget int64, workers int) int64 {
 
 // labelSizesSpilledShared sizes all spilled sets of a frontier off ONE
 // dataset pass: a MultiWriter multiplexes every set's partitioned records
-// into that set's own run files (byte-identical to the per-set path's
-// runs), then each set's key-disjoint runs are counted K-way in frontier
-// order exactly as labelSizeSpill counts them — same cap-abort, same
-// stats, same results. Disk trouble stays per set: a failed target (run
-// creation, partition write or run count) degrades only that set to the
-// in-memory fallback while its siblings' on-disk results stand. A fired
-// CountOptions.Ctx aborts the whole pass with the typed context error
-// instead — cancellation is never degraded around.
+// into that set's own run files, then each set's key-disjoint runs are
+// counted K-way in frontier order with the sizing cap-abort. A frontier
+// with one spilled set is the same pass with one target. Disk trouble
+// stays per set: a failed target (run creation, partition write or run
+// count) degrades only that set to the in-memory fallback while its
+// siblings' on-disk results stand. A fired CountOptions.Ctx aborts the
+// whole pass with the typed context error instead — cancellation is never
+// degraded around.
 func labelSizesSpilledShared(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions, spilled []spilledSet, sizes []int, within []bool) error {
 	rows := d.NumRows()
 	cols := datasetCols(d)
 	workers := opts.scanWorkers(rows)
 	cfgs := make([]spill.Config, len(spilled))
 	for i, sp := range spilled {
-		cfgs[i] = spill.Config{
-			RecWidth: sp.format.recWidth(sp.k),
-			Runs:     sp.runs,
-			Dir:      opts.SpillDir,
-			Pool:     opts.Pool,
-			FS:       opts.FS,
-		}
+		cfgs[i] = sp.config(opts)
 	}
 	mw := spill.NewMultiWriter(cfgs, sharedSpillBufShare(opts.MemBudget, workers))
 	// Deferred before the pass so every target's run files are removed on
@@ -535,23 +444,17 @@ func sharedSpillPartition(mw *spill.MultiWriter, spilled []spilledSet, cols [][]
 	})
 }
 
-// errSpillTarget marks a shared-pass target whose writer never came up and
-// recorded no more specific error; the caller treats it as disk trouble.
-var errSpillTarget = errors.New("core: shared spill target unavailable")
-
-// countSharedTarget counts one shared-pass target's runs with the sizing
-// cap — identical to labelSizeSpill's counting half. A non-nil error is
-// the disk trouble recorded against the target (the caller falls back to
-// the in-memory scan for that one set) or a context error from the count
-// phase, which the caller propagates instead.
+// countSharedTarget counts one spill-pass target's runs with the sizing
+// cap. A non-nil error is the disk trouble recorded against the target
+// (the caller falls back to the in-memory scan for that one set) or a
+// context error from the count phase, which the caller propagates instead.
 func countSharedTarget(mw *spill.MultiWriter, i int, sp spilledSet, cap, workers int, opts CountOptions) (size int, within bool, err error) {
-	w := mw.Writer(i)
+	// NewMultiWriter records an error for every writer it could not
+	// create, so a nil Err means Writer(i) is live.
 	if err := mw.Err(i); err != nil {
 		return 0, false, err
 	}
-	if w == nil {
-		return 0, false, errSpillTarget
-	}
+	w := mw.Writer(i)
 	if sp.format == spillFmtU64 {
 		size, within, err = w.CountRunsU64Ctx(opts.Ctx, cap, workers, nil)
 	} else {

@@ -340,15 +340,18 @@ func TestSpillRunBudgetModel(t *testing.T) {
 	dir := t.TempDir()
 
 	k := NewKeyer(d, s)
-	runs, format, ok := (CountOptions{MemBudget: budget}).spillFor(k, d.NumRows(), 1)
+	runs, _, ok := (CountOptions{MemBudget: budget}).spillFor(k, d.NumRows(), 1)
 	if !ok || runs < 6 {
 		t.Fatalf("expected >= 6 runs, got (%d, %v)", runs, ok)
 	}
 	var stats ScanStats
 	opts := CountOptions{Workers: 1, MemBudget: budget, SpillDir: dir, Stats: &stats}
-	size, within, err := labelSizeSpill(k, datasetCols(d), d.NumRows(), 1, runs, format, opts, -1)
+	size, within, err := LabelSizeParallelE(d, s, -1, opts)
 	if err != nil || !within {
 		t.Fatalf("spill sizing failed: err=%v within=%v", err, within)
+	}
+	if stats.Spilled != 1 || stats.SpillRuns != int64(runs) {
+		t.Fatalf("spilled %d sets into %d runs, want 1 set into %d runs", stats.Spilled, stats.SpillRuns, runs)
 	}
 	if exact, _ := LabelSize(d, s, -1); size != exact {
 		t.Fatalf("size %d != exact %d", size, exact)

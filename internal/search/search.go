@@ -96,12 +96,6 @@ type Options struct {
 	// injection scripts failures here.
 	FS iofault.FS
 
-	// DisableSharedSpill turns off the shared-scan spill partitioner
-	// (core.CountOptions.DisableSharedSpill): spilled sets in one frontier
-	// then partition with one dataset pass each instead of sharing a pass.
-	// Result-identical; for ablation.
-	DisableSharedSpill bool
-
 	// Ctx cancels the search cooperatively — cancel it or give it a
 	// deadline to bound a runaway search. Both phases poll it: enumeration
 	// at row-block granularity inside fused sizing scans and refinement
@@ -180,11 +174,13 @@ type Stats struct {
 	// back to the unbounded in-memory kernel (results stay correct; the
 	// memory budget was not honored for those sets).
 	SpillFallbacks int
-	// SharedSpillPasses counts shared partition passes: frontiers with
-	// several spilled sets partition all of them in one dataset scan.
+	// SharedSpillPasses counts shared partition passes: each frontier
+	// partitions all of its spilled sets in one dataset scan, and a scan
+	// counts here when it serves two or more sets.
 	SharedSpillPasses int
 	// SpillPassesSaved totals the dataset partition scans the shared
-	// passes avoided (sets-in-pass minus one, summed over passes).
+	// passes avoided against sizing each set alone (sets-in-pass minus
+	// one, summed over passes).
 	SpillPassesSaved int
 	// SearchTime covers candidate enumeration (label-size computation).
 	SearchTime time.Duration
@@ -217,7 +213,7 @@ type Result struct {
 // times instead of len(sets) times. This is the raw-scan path; the level
 // sizer below additionally schedules parent-PC refinements around it.
 func sizeFrontier(d *dataset.Dataset, sets []lattice.AttrSet, opts Options, stats *Stats, visit func(s lattice.AttrSet, within bool)) error {
-	co := core.CountOptions{Workers: opts.Workers, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, DisableSharedSpill: opts.DisableSharedSpill, Ctx: opts.Ctx}
+	co := core.CountOptions{Workers: opts.Workers, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, Ctx: opts.Ctx}
 	for lo := 0; lo < len(sets); lo += fusedBatch {
 		hi := lo + fusedBatch
 		if hi > len(sets) {
@@ -449,7 +445,7 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	// Raw-scan path for candidates on neither refinement tier. Spilled
 	// candidates (byte-key sets over the memory budget) are routed inside
 	// the fused sizing call onto external spill scans.
-	co := core.CountOptions{Workers: z.opts.Workers, DenseLimit: z.opts.DenseLimit, Stats: &z.scan, Pool: z.pool, MemBudget: z.opts.MemBudget, SpillDir: z.opts.SpillDir, FS: z.opts.FS, DisableSharedSpill: z.opts.DisableSharedSpill, Ctx: z.opts.Ctx}
+	co := core.CountOptions{Workers: z.opts.Workers, DenseLimit: z.opts.DenseLimit, Stats: &z.scan, Pool: z.pool, MemBudget: z.opts.MemBudget, SpillDir: z.opts.SpillDir, FS: z.opts.FS, Ctx: z.opts.Ctx}
 	for lo := 0; lo < len(z.scanSets); lo += fusedBatch {
 		hi := min(lo+fusedBatch, len(z.scanSets))
 		sizes, within, err := core.LabelSizesFusedE(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
@@ -851,7 +847,7 @@ func finish(d *dataset.Dataset, ps *core.PatternSet, cands []lattice.AttrSet, op
 	// Each candidate's label build runs single-threaded when candidates
 	// themselves are scored concurrently; a lone candidate gets the whole
 	// engine instead.
-	co := core.CountOptions{Workers: 1, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, DisableSharedSpill: opts.DisableSharedSpill, Ctx: opts.Ctx}
+	co := core.CountOptions{Workers: 1, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, Ctx: opts.Ctx}
 	if len(cands) == 1 {
 		co.Workers = opts.Workers
 	}
@@ -951,7 +947,7 @@ func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSe
 		ps.SortByCountDesc()
 	}
 	out := make([]Result, len(sets))
-	co := core.CountOptions{Workers: opts.Workers, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS, DisableSharedSpill: opts.DisableSharedSpill}
+	co := core.CountOptions{Workers: opts.Workers, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS}
 	for i, s := range sets {
 		l := core.BuildLabelOpts(d, s, co)
 		maxErr, scanned := core.MaxAbsError(l, ps, core.MaxErrOptions{Sorted: opts.FastEval, Workers: opts.Workers})
