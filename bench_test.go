@@ -388,7 +388,9 @@ func BenchmarkBuildPCParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = core.BuildPCParallel(d, full, core.CountOptions{Workers: workers})
+				if _, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -400,7 +402,9 @@ func BenchmarkBuildPCParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("pooled-workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = core.BuildPCParallel(d, full, core.CountOptions{Workers: workers, Pool: pool})
+				if _, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: workers, Pool: pool}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -425,7 +429,9 @@ func BenchmarkLabelSizeFused(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _ = core.LabelSizesFused(d, sets, 50, core.CountOptions{Workers: workers})
+				if _, _, err := core.LabelSizesFused(d, sets, 50, core.CountOptions{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -531,13 +537,18 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 	full := lattice.FullSet(d.NumAttrs())
 	b.Run("inmemory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = core.BuildPCParallel(d, full, core.CountOptions{Workers: 1})
+			if _, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("spill", func(b *testing.B) {
 		var stats core.ScanStats
 		for i := 0; i < b.N; i++ {
-			pc := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats})
+			pc, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats})
+			if err != nil {
+				b.Fatal(err)
+			}
 			pc.ReleaseSpill() // merge-on-read result: drop the retained runs
 		}
 		if stats.Spilled != int64(b.N) {
@@ -549,8 +560,9 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 		var stats core.ScanStats
 		opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
 		for i := 0; i < b.N; i++ {
-			if _, within := core.LabelSizeParallel(d, full, -1, opts); !within {
-				b.Fatal("unbounded sizing reported out of bound")
+			_, within, err := core.LabelSizesFused(d, []lattice.AttrSet{full}, -1, opts)
+			if err != nil || !within[0] {
+				b.Fatalf("unbounded sizing reported out of bound (err %v)", err)
 			}
 		}
 		if stats.Spilled != int64(b.N) {
@@ -573,9 +585,9 @@ func BenchmarkSpillSizeWorkers(b *testing.B) {
 			var stats core.ScanStats
 			opts := core.CountOptions{Workers: workers, MemBudget: budget, Stats: &stats}
 			for i := 0; i < b.N; i++ {
-				sizes, within := core.LabelSizesFused(d, sets, -1, opts)
-				if !within[0] || sizes[0] == 0 {
-					b.Fatal("unbounded spilled sizing failed")
+				sizes, within, err := core.LabelSizesFused(d, sets, -1, opts)
+				if err != nil || !within[0] || sizes[0] == 0 {
+					b.Fatalf("unbounded spilled sizing failed (err %v)", err)
 				}
 			}
 			if stats.Spilled != int64(b.N) {
@@ -610,8 +622,9 @@ func BenchmarkSpillRecordFormat(b *testing.B) {
 		b.SetBytes(int64(d.NumRows() * recW))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, within := core.LabelSizeParallel(d, full, -1, opts); !within {
-				b.Fatal("unbounded sizing reported out of bound")
+			_, within, err := core.LabelSizesFused(d, []lattice.AttrSet{full}, -1, opts)
+			if err != nil || !within[0] {
+				b.Fatalf("unbounded sizing reported out of bound (err %v)", err)
 			}
 		}
 		if stats.Spilled != int64(b.N) || stats.SpilledU64 != wantU64*int64(b.N) {
@@ -746,13 +759,16 @@ func BenchmarkSpillLiveHeap(b *testing.B) {
 		probe := pcProbeVals(d)
 		var peak uint64
 		for i := 0; i < b.N; i++ {
-			pc := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget})
-			if !pc.Spilled() {
-				b.Fatal("build did not stay merge-on-read")
+			pc, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget})
+			if err != nil || !pc.Spilled() {
+				b.Fatalf("build did not stay merge-on-read (err %v)", err)
 			}
 			peak = max(peak, liveHeap()) // result live, runs on disk
 			for _, vals := range probe {
-				_ = pc.LookupVals(vals) // fault in the pinned hot-run cache
+				// Fault in the pinned hot-run cache.
+				if _, err := pc.LookupValsCtx(nil, vals); err != nil {
+					b.Fatal(err)
+				}
 			}
 			peak = max(peak, liveHeap())
 			pc.ReleaseSpill()
@@ -796,9 +812,9 @@ func BenchmarkSharedSpillPartition(b *testing.B) {
 				opts := core.CountOptions{Workers: 1, MemBudget: budget, Stats: &stats}
 				for i := 0; i < b.N; i++ {
 					for _, f := range mode.frontiers {
-						sizes, within := core.LabelSizesFused(d, f, -1, opts)
-						if !within[0] || sizes[0] == 0 {
-							b.Fatal("unbounded sizing failed")
+						sizes, within, err := core.LabelSizesFused(d, f, -1, opts)
+						if err != nil || !within[0] || sizes[0] == 0 {
+							b.Fatalf("unbounded sizing failed (err %v)", err)
 						}
 					}
 				}
@@ -906,18 +922,24 @@ func lookupBenchSetup(b *testing.B) {
 		u64SpillOnce.Do(func() { u64SpillData = wideDataset(60000, 8, 40) })
 		d := u64SpillData
 		full := lattice.FullSet(d.NumAttrs())
-		oracle := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1})
+		oracle, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1})
+		if err != nil {
+			panic(err)
+		}
 		// Budget one byte under the result's modeled uint64-map footprint:
 		// the build stays merge-on-read while the read side can pin (nearly)
 		// every run into the lock-free hot cache.
 		budget := int64(oracle.Size())*(8+48) - 1
-		pc := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget})
-		if !pc.Spilled() {
-			panic("lookup benchmark build did not stay merge-on-read")
+		pc, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, MemBudget: budget})
+		if err != nil || !pc.Spilled() {
+			panic(fmt.Sprintf("lookup benchmark build did not stay merge-on-read (err %v)", err))
 		}
 		probes := pcProbeVals(d)
 		for _, vals := range probes {
-			_ = pc.LookupVals(vals) // fault the probed runs into the hot cache
+			// Fault the probed runs into the hot cache.
+			if _, err := pc.LookupValsCtx(nil, vals); err != nil {
+				panic(err)
+			}
 		}
 		lookupBench.pc, lookupBench.probes = pc, probes
 	})
@@ -936,7 +958,12 @@ func BenchmarkSpilledPCLookup(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				var total, i int
 				for pb.Next() {
-					total += pc.LookupVals(probes[i%len(probes)])
+					c, err := pc.LookupValsCtx(nil, probes[i%len(probes)])
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					total += c
 					i++
 				}
 				lookupSink.Add(int64(total))
@@ -987,9 +1014,9 @@ func serveBenchSetup(b *testing.B) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
 		d := benchServeDataset(4000, 4, 300)
-		l := core.BuildLabelOpts(d, lattice.FullSet(d.NumAttrs()), core.CountOptions{MemBudget: 16 << 10})
-		if !l.PC().Spilled() {
-			panic("serve benchmark label did not spill")
+		l, err := core.BuildLabelOptsCtx(nil, d, lattice.FullSet(d.NumAttrs()), core.CountOptions{MemBudget: 16 << 10})
+		if err != nil || !l.PC().Spilled() {
+			panic(fmt.Sprintf("serve benchmark label did not spill (err %v)", err))
 		}
 		tmp, err := os.MkdirTemp("", "pcbl-serve-bench-")
 		if err != nil {
@@ -1248,7 +1275,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 	full := lattice.FullSet(d.NumAttrs())
 	b.Run("nil", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildPCParallelCtx(nil, d, full, core.CountOptions{Workers: 1}); err != nil {
+			if _, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1260,7 +1287,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 		defer cancel()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildPCParallelCtx(ctx, d, full, core.CountOptions{Workers: 1}); err != nil {
+			if _, err := core.BuildPCParallel(d, full, core.CountOptions{Workers: 1, Ctx: ctx}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1289,16 +1316,27 @@ func benchIncrementalSplit(b *testing.B) (d, base, delta *dataset.Dataset) {
 	return d, base, delta
 }
 
+// mustBenchLabel builds a label whose options arm no context, so an error
+// is a bug.
+func mustBenchLabel(b *testing.B, d *dataset.Dataset, s lattice.AttrSet, opts core.CountOptions) *core.Label {
+	b.Helper()
+	l, err := core.BuildLabelOptsCtx(nil, d, s, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
 // BenchmarkLabelMerge times only Label.Merge: folding a prebuilt 1% delta
 // into a prebuilt base label. Rebuilding the mutated base is untimed.
 func BenchmarkLabelMerge(b *testing.B) {
 	d, base, delta := benchIncrementalSplit(b)
 	s := lattice.FullSet(d.NumAttrs())
-	dl := core.BuildLabelOpts(delta, s, core.CountOptions{Workers: 1})
+	dl := mustBenchLabel(b, delta, s, core.CountOptions{Workers: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		bl := core.BuildLabelOpts(base, s, core.CountOptions{Workers: 1})
+		bl := mustBenchLabel(b, base, s, core.CountOptions{Workers: 1})
 		b.StartTimer()
 		if _, _, err := bl.Merge(dl, -1); err != nil {
 			b.Fatal(err)
@@ -1316,7 +1354,7 @@ func BenchmarkUpdateVsRebuild(b *testing.B) {
 	b.Run("rebuild", func(b *testing.B) {
 		var st core.ScanStats
 		for i := 0; i < b.N; i++ {
-			_ = core.BuildLabelOpts(d, s, core.CountOptions{Workers: 1, Stats: &st})
+			_ = mustBenchLabel(b, d, s, core.CountOptions{Workers: 1, Stats: &st})
 		}
 		b.ReportMetric(float64(st.RowsScanned)/float64(b.N), "rows-read/op")
 	})
@@ -1324,9 +1362,9 @@ func BenchmarkUpdateVsRebuild(b *testing.B) {
 		var st core.ScanStats
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			bl := core.BuildLabelOpts(base, s, core.CountOptions{Workers: 1})
+			bl := mustBenchLabel(b, base, s, core.CountOptions{Workers: 1})
 			b.StartTimer()
-			dl := core.BuildLabelOpts(delta, s, core.CountOptions{Workers: 1, Stats: &st})
+			dl := mustBenchLabel(b, delta, s, core.CountOptions{Workers: 1, Stats: &st})
 			if _, _, err := bl.Merge(dl, -1); err != nil {
 				b.Fatal(err)
 			}

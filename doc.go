@@ -59,12 +59,14 @@
 // errors.Is dispatch. The core panics only on API misuse — a Pattern
 // built against a different dataset's dictionaries, an attribute index
 // out of range — never on data or disk contents, with one deliberate
-// exception: the error-free query methods (Count, Estimate) panic if a
+// exception: the error-free label methods (Count, Estimate, EstimateRow,
+// Portable) and the renderers (RenderLabel, WriteHTMLReport) panic if a
 // spilled PC section hits an unrecoverable read fault, because returning
 // would mean returning a wrong count. Long-lived consumers of artifact-
-// backed labels should use the error-returning variants (CountE,
-// EstimateE), which surface the fault instead; the serving layer does,
-// degrading the request rather than the process.
+// backed labels should use the context-taking forms with a nil ctx
+// (CountCtx, EstimateCtx, MarginalPCCtx), which surface the fault as an
+// error instead; the serving layer does, degrading the request rather
+// than the process.
 //
 // Cancellation is a third, distinct family. Work bounded by a caller's
 // context — GenerateCtx, BuildLabelCtx, the *Ctx query variants — stops

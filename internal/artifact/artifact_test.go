@@ -53,17 +53,31 @@ func genDataset(t *testing.T, rows, attrs, domain int, nullRate float64, seed ui
 	return d
 }
 
+// mustBuildLabel builds a label whose options arm no context, so an error
+// is a bug.
+func mustBuildLabel(t testing.TB, d *dataset.Dataset, s lattice.AttrSet, opts core.CountOptions) *core.Label {
+	t.Helper()
+	l, err := core.BuildLabelOptsCtx(nil, d, s, opts)
+	if err != nil {
+		t.Fatalf("BuildLabelOptsCtx(%v): %v", s, err)
+	}
+	return l
+}
+
 // pcDump flattens a PC into comparable form.
-func pcDump(pc *core.PC) map[string]int {
+func pcDump(t testing.TB, pc *core.PC) map[string]int {
+	t.Helper()
 	out := make(map[string]int)
-	pc.Each(lattice.MaxAttrs, func(vals []uint16, c int) bool {
+	if err := pc.EachCtx(nil, lattice.MaxAttrs, func(vals []uint16, c int) bool {
 		var key strings.Builder
 		for _, a := range pc.Attrs().Members() {
 			fmt.Fprintf(&key, "%d=%d;", a, vals[a])
 		}
 		out[key.String()] = c
 		return true
-	})
+	}); err != nil {
+		t.Fatalf("EachCtx: %v", err)
+	}
 	return out
 }
 
@@ -144,7 +158,7 @@ func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint6
 		t.Fatalf("reopened Rows() %d, want %d", rl.Rows(), d.NumRows())
 	}
 
-	want, got := pcDump(l.PC()), pcDump(rl.PC())
+	want, got := pcDump(t, l.PC()), pcDump(t, rl.PC())
 	if len(want) != len(got) {
 		t.Fatalf("reopened PC has %d patterns, want %d", len(got), len(want))
 	}
@@ -171,26 +185,26 @@ func assertRoundTrip(t *testing.T, d *dataset.Dataset, l *core.Label, seed uint6
 
 func TestRoundTripDense(t *testing.T) {
 	d := genDataset(t, 2000, 4, 6, 0, 0x71)
-	l := core.BuildLabelOpts(d, lattice.FullSet(3), core.CountOptions{})
+	l := mustBuildLabel(t, d, lattice.FullSet(3), core.CountOptions{})
 	assertRoundTrip(t, d, l, 0x71)
 }
 
 func TestRoundTripU64Map(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0.05, 0x72)
 	// A negative dense limit forces the map kernel even for small spaces.
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1})
+	l := mustBuildLabel(t, d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1})
 	assertRoundTrip(t, d, l, 0x72)
 }
 
 func TestRoundTripBytesMap(t *testing.T) {
 	d := genDataset(t, 1500, 4, 65000, 0.05, 0x73)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{})
+	l := mustBuildLabel(t, d, lattice.FullSet(4), core.CountOptions{})
 	assertRoundTrip(t, d, l, 0x73)
 }
 
 func TestRoundTripSpilledU64(t *testing.T) {
 	d := genDataset(t, 4000, 4, 300, 0, 0x74)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{
+	l := mustBuildLabel(t, d, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
 	})
 	if !l.PC().Spilled() {
@@ -201,7 +215,7 @@ func TestRoundTripSpilledU64(t *testing.T) {
 
 func TestRoundTripSpilledBytes(t *testing.T) {
 	d := genDataset(t, 3000, 4, 65000, 0.1, 0x75)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{
+	l := mustBuildLabel(t, d, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 32 << 10, SpillDir: t.TempDir(),
 	})
 	if !l.PC().Spilled() {
@@ -217,7 +231,7 @@ func TestRoundTripSpilledBytes(t *testing.T) {
 // and there are none.
 func TestColdMarginalsNullFree(t *testing.T) {
 	d := genDataset(t, 2000, 4, 50, 0, 0x79)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1})
+	l := mustBuildLabel(t, d, lattice.FullSet(4), core.CountOptions{DenseLimit: -1})
 	dir := filepath.Join(t.TempDir(), "cold")
 	// Save before any marginal materializes: the artifact holds only the
 	// PC section.
@@ -250,18 +264,18 @@ func TestColdMarginalsNullFree(t *testing.T) {
 // answering queries from the artifact's files.
 func TestSaveAdoptionKeepsSourceLabelLive(t *testing.T) {
 	d := genDataset(t, 4000, 4, 300, 0, 0x76)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{
+	l := mustBuildLabel(t, d, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
 	})
 	if !l.PC().Spilled() {
 		t.Fatal("build did not spill")
 	}
-	before := pcDump(l.PC())
+	before := pcDump(t, l.PC())
 	dir := filepath.Join(t.TempDir(), "adopted")
 	if err := Save(l, dir); err != nil {
 		t.Fatal(err)
 	}
-	after := pcDump(l.PC())
+	after := pcDump(t, l.PC())
 	if len(before) != len(after) {
 		t.Fatalf("source label lost patterns after adoption: %d -> %d", len(before), len(after))
 	}
@@ -279,7 +293,7 @@ func TestSaveAdoptionKeepsSourceLabelLive(t *testing.T) {
 
 func TestSaveRefusesNonEmptyDir(t *testing.T) {
 	d := genDataset(t, 100, 3, 4, 0, 0x77)
-	l := core.BuildLabelOpts(d, lattice.FullSet(2), core.CountOptions{})
+	l := mustBuildLabel(t, d, lattice.FullSet(2), core.CountOptions{})
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "junk"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -291,7 +305,7 @@ func TestSaveRefusesNonEmptyDir(t *testing.T) {
 
 func TestOpenRejectsUnknownVersion(t *testing.T) {
 	d := genDataset(t, 100, 3, 4, 0, 0x78)
-	l := core.BuildLabelOpts(d, lattice.FullSet(2), core.CountOptions{})
+	l := mustBuildLabel(t, d, lattice.FullSet(2), core.CountOptions{})
 	dir := filepath.Join(t.TempDir(), "vbad")
 	if err := Save(l, dir); err != nil {
 		t.Fatal(err)

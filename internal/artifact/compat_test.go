@@ -103,7 +103,7 @@ func TestOpenV1Artifact(t *testing.T) {
 		if spilled {
 			l = o.buildSpilled(t, t.TempDir(), nil)
 		} else {
-			l = core.BuildLabelOpts(o.d, lattice.FullSet(4), core.CountOptions{})
+			l = mustBuildLabel(t, o.d, lattice.FullSet(4), core.CountOptions{})
 		}
 		if err := Save(l, dir); err != nil {
 			t.Fatal(err)

@@ -36,7 +36,7 @@ type sweepOracle struct {
 func newSweepOracle(t *testing.T) *sweepOracle {
 	t.Helper()
 	d := genDataset(t, 2500, 4, 200, 0, 0x90)
-	l := core.BuildLabelOpts(d, lattice.FullSet(4), core.CountOptions{})
+	l := mustBuildLabel(t, d, lattice.FullSet(4), core.CountOptions{})
 	probes := probePatterns(t, d, 64, 0x91)
 	o := &sweepOracle{d: d, probes: probes}
 	for _, p := range probes {
@@ -52,7 +52,7 @@ func newSweepOracle(t *testing.T) *sweepOracle {
 // the PC spills, all I/O routed through fsys.
 func (o *sweepOracle) buildSpilled(t *testing.T, spillDir string, fsys iofault.FS) *core.Label {
 	t.Helper()
-	return core.BuildLabelOpts(o.d, lattice.FullSet(4), core.CountOptions{
+	return mustBuildLabel(t, o.d, lattice.FullSet(4), core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: spillDir, FS: fsys,
 	})
 }
@@ -66,7 +66,7 @@ func (o *sweepOracle) check(t *testing.T, trial string, l *core.Label) int {
 	answered := 0
 	for i, p := range o.probes {
 		rp := reopenedPattern(t, o.d, rd, p)
-		c, ok, err := l.CountE(rp)
+		c, ok, err := l.CountCtx(nil, rp)
 		if err == nil {
 			if c != o.counts[i] || ok != o.oks[i] {
 				t.Fatalf("%s: probe %d Count = (%d, %v), oracle (%d, %v) — wrong answer",
@@ -74,7 +74,7 @@ func (o *sweepOracle) check(t *testing.T, trial string, l *core.Label) int {
 			}
 			answered++
 		}
-		if e, err := l.EstimateE(rp); err == nil && e != o.ests[i] {
+		if e, err := l.EstimateCtx(nil, rp); err == nil && e != o.ests[i] {
 			t.Fatalf("%s: probe %d Estimate = %v, oracle %v — wrong answer", trial, i, e, o.ests[i])
 		}
 	}
@@ -132,7 +132,7 @@ func TestFaultSweepBuild(t *testing.T) {
 			ffs := iofault.NewFaultFS(nil)
 			ffs.FailAt(op, n, nil)
 			var st core.ScanStats
-			l := core.BuildLabelOpts(o.d, lattice.FullSet(4), core.CountOptions{
+			l := mustBuildLabel(t, o.d, lattice.FullSet(4), core.CountOptions{
 				MemBudget: 16 << 10, SpillDir: t.TempDir(), FS: ffs, Stats: &st,
 			})
 			trial := "build/" + op.String()

@@ -96,7 +96,10 @@ func realManifest(f *testing.F) string {
 	if err != nil {
 		return ""
 	}
-	l := core.BuildLabelOpts(d, lattice.FullSet(2), core.CountOptions{})
+	l, err := core.BuildLabelOptsCtx(nil, d, lattice.FullSet(2), core.CountOptions{})
+	if err != nil {
+		return ""
+	}
 	dir := filepath.Join(f.TempDir(), "a")
 	if err := Save(l, dir); err != nil {
 		return ""

@@ -138,8 +138,14 @@ func cycle(cfg Config, rng *rand.Rand, c int, rep *Report, logf func(string, ...
 		return err
 	}
 	s := lattice.FullSet(4)
-	baseOracle := core.BuildLabelOpts(base, s, core.CountOptions{})
-	fullOracle := core.BuildLabelOpts(d, s, core.CountOptions{})
+	baseOracle, err := core.BuildLabelOptsCtx(nil, base, s, core.CountOptions{})
+	if err != nil {
+		return err
+	}
+	fullOracle, err := core.BuildLabelOptsCtx(nil, d, s, core.CountOptions{})
+	if err != nil {
+		return err
+	}
 	probes := mkProbes(rng, d, s, 24)
 
 	if err := buildPhase(rng, base, s, baseOracle, probes, dir, rep); err != nil {
@@ -239,9 +245,12 @@ func buildPhase(rng *rand.Rand, d *dataset.Dataset, s lattice.AttrSet,
 // directory holding a valid artifact and whether the merge committed.
 func artifactPhase(rng *rand.Rand, base, delta *dataset.Dataset, s lattice.AttrSet,
 	dir string, rep *Report, logf func(string, ...any)) (string, bool, error) {
-	l := core.BuildLabelOpts(base, s, core.CountOptions{
+	l, err := core.BuildLabelOptsCtx(nil, base, s, core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: filepath.Join(dir, "build-spill"),
 	})
+	if err != nil {
+		return "", false, err
+	}
 	defer l.ReleaseSpill()
 
 	artDir := filepath.Join(dir, "artifact")
@@ -280,7 +289,10 @@ func artifactPhase(rng *rand.Rand, base, delta *dataset.Dataset, s lattice.AttrS
 		return "", false, err
 	}
 
-	dl := core.BuildLabelOpts(delta, s, core.CountOptions{})
+	dl, err := core.BuildLabelOptsCtx(nil, delta, s, core.CountOptions{})
+	if err != nil {
+		return "", false, err
+	}
 	mffs := iofault.NewFaultFS(nil)
 	switch rng.IntN(3) {
 	case 1:

@@ -89,14 +89,14 @@ func TestAllocsBuildPCParallelPooled(t *testing.T) {
 func TestAllocsRefinePooledSteadyState(t *testing.T) {
 	cfg := diffConfig{rows: 4000, attrs: 5, domain: 6, nullRate: 0}
 	d := diffDataset(t, cfg, 47)
-	parent := BuildRefinable(d, lattice.NewAttrSet(0, 2))
+	parent := BuildRefinable(d, lattice.NewAttrSet(0, 2), nil)
 	pool := NewVecPool(0)
-	parent.RefineSizePooled(d, 4, -1, pool) // warm
+	parent.RefineSize(d, 4, -1, pool) // warm
 	allocs := testing.AllocsPerRun(20, func() {
-		parent.RefineSizePooled(d, 4, -1, pool)
+		parent.RefineSize(d, 4, -1, pool)
 	})
 	// Measured ~2 (column header + bookkeeping).
 	if allocs > 8 {
-		t.Fatalf("RefineSizePooled allocs/run = %.0f, want <= 8", allocs)
+		t.Fatalf("RefineSize allocs/run = %.0f, want <= 8", allocs)
 	}
 }

@@ -115,59 +115,16 @@ func (pc *PC) SpillReadStats() (stats SpillReadStats, ok bool) {
 	return pc.sp.readStats(), true
 }
 
-// LookupVals returns the count of the pattern whose member values appear in
-// the dense identifier slice vals; 0 when the pattern is absent (count 0) or
-// any member slot is NULL. On a merge-on-read index a run read that fails
-// (after one bounded retry) panics; degradation-aware callers use
-// LookupValsE instead.
-func (pc *PC) LookupVals(vals []uint16) int {
-	if pc.sp != nil {
-		c, err := pc.sp.lookupValsE(nil, vals)
-		if err != nil {
-			panic(err.Error())
-		}
-		return c
-	}
-	if pc.dz != nil {
-		key, ok := pc.keyer.KeyVals(vals)
-		if !ok {
-			return 0
-		}
-		return int(pc.dz[key])
-	}
-	if pc.u != nil {
-		key, ok := pc.keyer.KeyVals(vals)
-		if !ok {
-			return 0
-		}
-		return pc.u[key]
-	}
-	var buf [128]byte
-	b, ok := pc.keyer.AppendBytesVals(buf[:0], vals)
-	if !ok {
-		return 0
-	}
-	return pc.s[string(b)]
-}
-
-// LookupValsE is LookupVals with an explicit error path: a merge-on-read
-// index reads run files on demand, and a read that fails — an I/O error or
-// a checksum mismatch, after one bounded retry — returns the error instead
-// of a wrong count. In-memory representations never fail. The serving
-// layer uses this form to degrade gracefully instead of crashing.
-func (pc *PC) LookupValsE(vals []uint16) (int, error) {
-	if pc.sp != nil {
-		return pc.sp.lookupValsE(nil, vals)
-	}
-	return pc.LookupVals(vals), nil
-}
-
-// LookupValsCtx is LookupValsE with cooperative cancellation: an
-// already-fired context is refused at entry, and on a merge-on-read index
-// a cache miss loads a run file on demand with ctx bounding that load
-// (polled every spillReadCheckRecs records); a fired context returns the
-// typed context error. Past the entry check, in-memory representations
-// and cache hits never consult ctx — the call is then exactly LookupValsE.
+// LookupValsCtx returns the count of the pattern whose member values
+// appear in the dense identifier slice vals; 0 when the pattern is absent
+// (count 0) or any member slot is NULL. An already-fired ctx is refused at
+// entry. In-memory representations never fail and, past that check, never
+// consult ctx. A merge-on-read index reads run files on demand: a cache
+// miss loads a run with ctx bounding that load (polled every
+// spillReadCheckRecs records), a fired context returns the typed context
+// error, and a read that fails — an I/O error or a checksum mismatch,
+// after one bounded retry — returns the error instead of a wrong count. A
+// nil ctx never cancels.
 func (pc *PC) LookupValsCtx(ctx context.Context, vals []uint16) (int, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -175,27 +132,48 @@ func (pc *PC) LookupValsCtx(ctx context.Context, vals []uint16) (int, error) {
 		}
 	}
 	if pc.sp != nil {
-		return pc.sp.lookupValsE(ctx, vals)
+		return pc.sp.lookupVals(ctx, vals)
 	}
-	return pc.LookupVals(vals), nil
+	if pc.dz != nil {
+		key, ok := pc.keyer.KeyVals(vals)
+		if !ok {
+			return 0, nil
+		}
+		return int(pc.dz[key]), nil
+	}
+	if pc.u != nil {
+		key, ok := pc.keyer.KeyVals(vals)
+		if !ok {
+			return 0, nil
+		}
+		return pc.u[key], nil
+	}
+	var buf [128]byte
+	b, ok := pc.keyer.AppendBytesVals(buf[:0], vals)
+	if !ok {
+		return 0, nil
+	}
+	return pc.s[string(b)], nil
 }
 
-// Lookup returns c_D(p|S) for pattern p: the count of p restricted to S.
-// The pattern must constrain every attribute of S; use a marginal PC (see
-// Label) otherwise.
-func (pc *PC) Lookup(p Pattern) int { return pc.LookupVals(p.vals) }
-
-// Each invokes fn for every stored pattern, passing a dense identifier slice
-// (valid only for the duration of the call) and the pattern's count.
-// Iteration stops early when fn returns false. Order is unspecified. On a
-// merge-on-read index a failed run read panics; degradation-aware callers
-// use EachE.
-func (pc *PC) Each(n int, fn func(vals []uint16, count int) bool) {
-	if pc.sp != nil {
-		if err := pc.sp.eachE(nil, n, fn); err != nil {
-			panic(err.Error())
+// EachCtx invokes fn for every stored pattern, passing a dense identifier
+// slice (valid only for the duration of the call) and the pattern's count.
+// Iteration stops early when fn returns false. Order is unspecified. An
+// already-fired ctx is refused at entry; past that check, in-memory
+// representations iterate without consulting ctx. A merge-on-read
+// iteration checks ctx at every run boundary and inside each run's file
+// scan, so abandoning a long streaming pass stops within one run quantum.
+// A fired context or a failed run read aborts the iteration and returns
+// the error; fn has then seen a prefix of the entries — discard any
+// partial aggregation. A nil ctx never cancels.
+func (pc *PC) EachCtx(ctx context.Context, n int, fn func(vals []uint16, count int) bool) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return
+	}
+	if pc.sp != nil {
+		return pc.sp.each(ctx, n, fn)
 	}
 	vals := make([]uint16, n)
 	if pc.dz != nil {
@@ -205,83 +183,37 @@ func (pc *PC) Each(n int, fn func(vals []uint16, count int) bool) {
 			}
 			pc.keyer.Decode(uint64(key), vals)
 			if !fn(vals, int(c)) {
-				return
+				return nil
 			}
 		}
-		return
+		return nil
 	}
 	if pc.u != nil {
 		for key, c := range pc.u {
 			pc.keyer.Decode(key, vals)
 			if !fn(vals, c) {
-				return
+				return nil
 			}
 		}
-		return
+		return nil
 	}
 	for key, c := range pc.s {
 		pc.keyer.DecodeBytes(key, vals)
 		if !fn(vals, c) {
-			return
+			return nil
 		}
 	}
-}
-
-// EachE is Each with an explicit error path: a failed run read on a
-// merge-on-read index aborts the iteration and returns the error (fn has
-// then seen a prefix of the entries — discard any partial aggregation).
-func (pc *PC) EachE(n int, fn func(vals []uint16, count int) bool) error {
-	if pc.sp != nil {
-		return pc.sp.eachE(nil, n, fn)
-	}
-	pc.Each(n, fn)
 	return nil
 }
 
-// EachCtx is EachE with cooperative cancellation: an already-fired
-// context is refused at entry, and a merge-on-read iteration checks ctx
-// at every run boundary and inside each run's file scan, so abandoning a
-// long streaming pass stops within one run quantum; the typed context
-// error is returned and fn has seen a prefix of the entries. Past the
-// entry check, in-memory representations iterate without consulting ctx.
-func (pc *PC) EachCtx(ctx context.Context, n int, fn func(vals []uint16, count int) bool) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if pc.sp != nil {
-		return pc.sp.eachE(ctx, n, fn)
-	}
-	pc.Each(n, fn)
-	return nil
-}
-
-// Marginalize returns the PC over sub ⊆ S computed by summing this index's
-// entries — no dataset rescan. Counts of rows that were NULL in S \ sub are
-// not recovered (they never entered this index); a Label therefore builds
-// marginals from the dataset when NULLs may matter, and from the parent PC
-// otherwise. For NULL-free datasets the two agree (tested). Summing a
-// merge-on-read index reads run files; a failed read panics — use
-// MarginalizeE to degrade instead.
-func (pc *PC) Marginalize(d *dataset.Dataset, sub lattice.AttrSet) *PC {
-	out, err := pc.MarginalizeE(d, sub)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// MarginalizeE is Marginalize with an explicit error path: a failed run
-// read on a merge-on-read parent returns the error and no index.
-func (pc *PC) MarginalizeE(d *dataset.Dataset, sub lattice.AttrSet) (*PC, error) {
-	return pc.MarginalizeCtx(nil, d, sub)
-}
-
-// MarginalizeCtx is MarginalizeE with cooperative cancellation: ctx is
-// checked at run boundaries while summing a merge-on-read parent, and a
-// fired context returns the typed context error and no index. A nil ctx
-// is exactly MarginalizeE.
+// MarginalizeCtx returns the PC over sub ⊆ S computed by summing this
+// index's entries — no dataset rescan. Counts of rows that were NULL in
+// S \ sub are not recovered (they never entered this index); a Label
+// therefore builds marginals from the dataset when NULLs may matter, and
+// from the parent PC otherwise. For NULL-free datasets the two agree
+// (tested). Summing a merge-on-read index reads run files: ctx is checked
+// at run boundaries, and a fired context or a failed read returns the
+// error and no index. A nil ctx never cancels.
 func (pc *PC) MarginalizeCtx(ctx context.Context, d *dataset.Dataset, sub lattice.AttrSet) (*PC, error) {
 	k := NewKeyer(d, sub)
 	out := &PC{keyer: k}

@@ -52,7 +52,8 @@ func TestCancelledBuildReturnsTypedError(t *testing.T) {
 				if sh.spl {
 					opts.MemBudget = spillBudgetFor(d, s, 3)
 				}
-				pc, err := BuildPCParallelCtx(cancelledCtx(), d, s, opts)
+				opts.Ctx = cancelledCtx()
+				pc, err := BuildPCParallel(d, s, opts)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 				}
@@ -69,7 +70,9 @@ func TestExpiredDeadlineBuildReturnsDeadlineExceeded(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 3000, attrs: 4, domain: 300}, 0xCD)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	_, err := BuildPCParallelCtx(ctx, d, lattice.FullSet(4), testCountOptions(4))
+	opts := testCountOptions(4)
+	opts.Ctx = ctx
+	_, err := BuildPCParallel(d, lattice.FullSet(4), opts)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -89,12 +92,12 @@ func TestCancelledSizingReturnsTypedError(t *testing.T) {
 				if sh.spl {
 					opts.MemBudget = spillBudgetFor(d, s, 3)
 				}
-				if _, _, err := LabelSizeParallelE(d, s, -1, opts); !errors.Is(err, context.Canceled) {
-					t.Fatalf("LabelSizeParallelE workers=%d: err = %v, want context.Canceled", workers, err)
+				if _, _, err := LabelSizesFused(d, []lattice.AttrSet{s}, -1, opts); !errors.Is(err, context.Canceled) {
+					t.Fatalf("LabelSizesFused one set workers=%d: err = %v, want context.Canceled", workers, err)
 				}
 				sets := []lattice.AttrSet{s, s.Remove(0)}
-				if _, _, err := LabelSizesFusedE(d, sets, -1, opts); !errors.Is(err, context.Canceled) {
-					t.Fatalf("LabelSizesFusedE workers=%d: err = %v, want context.Canceled", workers, err)
+				if _, _, err := LabelSizesFused(d, sets, -1, opts); !errors.Is(err, context.Canceled) {
+					t.Fatalf("LabelSizesFused workers=%d: err = %v, want context.Canceled", workers, err)
 				}
 				assertNoSpillFiles(t, dir)
 			}
@@ -105,7 +108,7 @@ func TestCancelledSizingReturnsTypedError(t *testing.T) {
 func TestCancelledRefineBatchReturnsTypedError(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 2000, attrs: 4, domain: 8}, 0xCF)
 	pool := NewVecPool(0)
-	parent := BuildRefinablePooled(d, lattice.NewAttrSet(0), pool)
+	parent := BuildRefinable(d, lattice.NewAttrSet(0), pool)
 	if parent == nil {
 		t.Fatal("parent not refinable")
 	}
@@ -113,7 +116,7 @@ func TestCancelledRefineBatchReturnsTypedError(t *testing.T) {
 	opts := testCountOptions(2)
 	opts.Pool = pool
 	opts.Ctx = cancelledCtx()
-	res, err := parent.RefineBatchE(d, []BatchSpec{{Attr: 1}, {Attr: 2}}, -1, opts)
+	res, err := parent.RefineBatch(d, []BatchSpec{{Attr: 1}, {Attr: 2}}, -1, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -167,7 +170,7 @@ func TestCancelledSpilledReadReturnsTypedError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("probe %d after cancel: %v", i, err)
 		}
-		if want := oracle.LookupVals(vals); got != want {
+		if want := mustLookup(t, oracle, vals); got != want {
 			t.Fatalf("probe %d: count %d, oracle %d", i, got, want)
 		}
 	}
@@ -195,7 +198,7 @@ func TestENOSPCDegradesToInMemoryFallback(t *testing.T) {
 	opts.SpillDir = dir
 	opts.FS = ffs
 	opts.Stats = &stats
-	sizes, _, err := LabelSizesFusedE(d, sets, -1, opts)
+	sizes, _, err := LabelSizesFused(d, sets, -1, opts)
 	if err != nil {
 		t.Fatalf("full disk must degrade, not fail: %v", err)
 	}
@@ -221,7 +224,7 @@ func TestENOSPCDegradesToInMemoryFallback(t *testing.T) {
 	bopts.SpillDir = dir
 	bopts.FS = ffs
 	bopts.Stats = &bstats
-	got, err := BuildPCParallelCtx(nil, d, full, bopts)
+	got, err := BuildPCParallel(d, full, bopts)
 	if err != nil {
 		t.Fatalf("budgeted build on full disk: %v", err)
 	}

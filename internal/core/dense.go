@@ -17,7 +17,7 @@ import (
 // column at a time and the count loop is branch-light.
 //
 // Path selection (shared by BuildPC, BuildPCParallel, LabelSizesFused,
-// PC.Marginalize and RefinablePC materialization, so every entry point
+// PC.MarginalizeCtx and RefinablePC materialization, so every entry point
 // picks the same representation for the same inputs):
 //
 //   - radix ≤ denseLimit AND radix ≤ denseRowFactor × rows (+64)  →  dense

@@ -70,10 +70,10 @@ func TestDifferentialDenseBuildPC(t *testing.T) {
 				dumpEqual(t, ref, BuildPC(d, s), fmt.Sprintf("set %v BuildPC", s))
 				for _, workers := range diffWorkerCounts {
 					opts := testCountOptions(workers)
-					dumpEqual(t, ref, BuildPCParallel(d, s, opts),
+					dumpEqual(t, ref, mustBuildPC(t, d, s, opts),
 						fmt.Sprintf("set %v workers=%d dense", s, workers))
 					opts.DenseLimit = -1
-					pc := BuildPCParallel(d, s, opts)
+					pc := mustBuildPC(t, d, s, opts)
 					if pcRepr(pc) == "dense" {
 						t.Fatalf("set %v: DenseLimit=-1 still produced a dense PC", s)
 					}
@@ -100,7 +100,7 @@ func TestDensePathSelection(t *testing.T) {
 	}
 	for _, workers := range diffWorkerCounts {
 		seq := BuildPC(d, small)
-		par := BuildPCParallel(d, small, testCountOptions(workers))
+		par := mustBuildPC(t, d, small, testCountOptions(workers))
 		if pcRepr(seq) != pcRepr(par) {
 			t.Errorf("workers=%d: repr %s vs sequential %s", workers, pcRepr(par), pcRepr(seq))
 		}
@@ -166,7 +166,7 @@ func TestDifferentialFusedDenseVsMap(t *testing.T) {
 					for _, denseLimit := range []int{0, -1, 8} {
 						opts := testCountOptions(workers)
 						opts.DenseLimit = denseLimit
-						sizes, within := LabelSizesFused(d, sets, cap, opts)
+						sizes, within := mustLabelSizes(t, d, sets, cap, opts)
 						for i, s := range sets {
 							wantSize, wantWithin := LabelSize(d, s, cap)
 							if sizes[i] != wantSize || within[i] != wantWithin {

@@ -16,12 +16,27 @@
 // Dataset scans go through the sharded counting engine (parallel.go): the
 // row range is split into contiguous per-worker chunks (CountOptions
 // bounds the worker count), each worker fills private state with the
-// shared read-only Keyer, and the shards are merged — BuildPCParallel and
-// LabelSizeParallel are the drop-in parallel forms of BuildPC and
-// LabelSize. LabelSizesFused additionally evaluates the label sizes of a
-// whole frontier of candidate attribute sets in one blocked pass over the
-// rows with per-set cap abort; it is the scan behind package search's
-// enumeration phase.
+// shared read-only Keyer, and the shards are merged — BuildPCParallel is
+// the drop-in parallel form of BuildPC. LabelSizesFused evaluates the
+// label sizes of a whole frontier of candidate attribute sets in one
+// blocked pass over the rows with per-set cap abort; it is the scan behind
+// package search's enumeration phase, and sizing one set is a one-set
+// frontier. The sequential BuildPC and LabelSize stay as the oracles the
+// differential suites compare against.
+//
+// API forms: each operation has exactly one exported entry point, and it
+// reports failure and cancellation as an error. Reads on a built PC or
+// Label take ctx as their first parameter (LookupValsCtx, EachCtx,
+// MarginalizeCtx, CountCtx, EstimateCtx, MarginalPCCtx); engine calls that
+// take CountOptions read it from CountOptions.Ctx only (BuildPCParallel,
+// LabelSizesFused, RefineBatch, RefineSizeBatch). A nil ctx never cancels.
+// Pooled slabs come from a *VecPool parameter or CountOptions.Pool, where
+// nil means plain allocation. No …E twin and no panicking wrapper is
+// added beside an entry point; the exceptions are Label.Count, Estimate
+// and EstimateRow (the documented convenience forms, and EstimateRow is
+// the Estimator interface), Portable and Render, which panic on an
+// unrecoverable spilled read, plus Label.CountE and BuildLabelOptsCtx,
+// which keep their signatures for the pipeline benchmark.
 //
 // Group-by counting picks one of three kernels per attribute set,
 // deterministically from the key space and the row count (dense.go):
@@ -68,7 +83,7 @@
 // siblings keep their on-disk results.
 // Budgeted builds are bounded end to end: a result map that models over
 // the budget is not materialized — the PC retains its runs and serves
-// Size/LookupVals/Each merge-on-read (spilledpc.go), streaming runs
+// Size/LookupValsCtx/EachCtx merge-on-read (spilledpc.go), streaming runs
 // through a pinned hot-run cache; ReleaseSpill (or, as a safety net, the
 // GC) removes the runs. No budget means the tier is off.
 //
@@ -84,7 +99,7 @@
 // across the released-check plus file scan, release takes the write side,
 // and a lookup racing a completed ReleaseSpill fails with the documented
 // "use of a released spilled PC" panic rather than undefined behaviour.
-// No lock is held across user callbacks (Each/Marginalize), so callbacks
+// No lock is held across user callbacks (EachCtx/MarginalizeCtx), so callbacks
 // may re-enter the same PC. The locking model is spelled out on spilledPC
 // (spilledpc.go) and hammered by the race-matrix tests in
 // spilledpc_concurrent_test.go.

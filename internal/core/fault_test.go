@@ -34,7 +34,7 @@ func buildSpilledOnFaultFS(t *testing.T, seed uint64) (d *dataset.Dataset, oracl
 	opts.SpillDir = t.TempDir()
 	opts.FS = ffs
 	opts.Stats = st
-	spilled = BuildPCParallel(d, s, opts)
+	spilled = mustBuildPC(t, d, s, opts)
 	if !spilled.Spilled() {
 		t.Fatalf("budgeted build did not stay merge-on-read (size %d)", oracle.Size())
 	}
@@ -57,11 +57,11 @@ func TestSpilledReadTransientFaultRetries(t *testing.T) {
 	// the bounded retry rescans, and the answer comes out unchanged.
 	ffs.FailAt(iofault.OpRead, ffs.Counts()[iofault.OpRead]+1, nil)
 	for i, vals := range probes {
-		got, err := spilled.LookupValsE(vals)
+		got, err := spilled.LookupValsCtx(nil, vals)
 		if err != nil {
 			t.Fatalf("probe %d: transient fault leaked: %v", i, err)
 		}
-		if want := oracle.LookupVals(vals); got != want {
+		if want := mustLookup(t, oracle, vals); got != want {
 			t.Fatalf("probe %d: count %d after retry, oracle %d", i, got, want)
 		}
 	}
@@ -79,46 +79,52 @@ func TestSpilledReadTransientFaultRetries(t *testing.T) {
 }
 
 func TestSpilledReadPersistentFaultSurfacesAndRecovers(t *testing.T) {
-	_, oracle, spilled, ffs, _ := buildSpilledOnFaultFS(t, 0xC2)
+	d, oracle, spilled, ffs, _ := buildSpilledOnFaultFS(t, 0xC2)
 	defer spilled.ReleaseSpill()
 	probes := spilledProbes(t, spilled, 200, 0xC2)
 
 	ffs.FailFrom(iofault.OpRead, ffs.Counts()[iofault.OpRead]+1, nil)
 	// Nothing is cached yet, so the first probe must hit the dead disk:
-	// a clean error from the E surface, never a wrong count.
-	if _, err := spilled.LookupValsE(probes[0]); err == nil {
+	// a clean error from the nil-ctx read surface, never a wrong count.
+	if _, err := spilled.LookupValsCtx(nil, probes[0]); err == nil {
 		t.Fatal("lookup on dead disk returned no error")
 	}
-	if err := spilled.EachE(4, func([]uint16, int) bool { return true }); err == nil {
-		t.Fatal("EachE on dead disk returned no error")
+	if err := spilled.EachCtx(nil, 4, func([]uint16, int) bool { return true }); err == nil {
+		t.Fatal("EachCtx on dead disk returned no error")
 	}
 	stats, _ := spilled.SpillReadStats()
 	if stats.ReadErrors < 2 || stats.Retries < 1 {
 		t.Fatalf("stats = %+v, want the failure plus its failed retry metered", stats)
 	}
 
-	// The legacy no-error surface documents a panic for deep callers.
+	// The no-error convenience surface (Label.Count) documents a panic
+	// for callers that cannot degrade.
+	vc := make([][]int, d.NumAttrs())
+	for a := range vc {
+		vc[a] = d.ValueCounts(a)
+	}
+	l := NewLabelFromParts(d, d.NumRows(), spilled.Attrs(), spilled, vc)
 	func() {
 		defer func() {
 			r := recover()
 			if r == nil {
-				t.Fatal("legacy LookupVals on dead disk did not panic")
+				t.Fatal("Label.Count on dead disk did not panic")
 			}
 			if msg, ok := r.(string); !ok || !strings.Contains(msg, "spilled PC") {
-				t.Fatalf("legacy panic payload %v, want the documented message", r)
+				t.Fatalf("Label.Count panic payload %v, want the documented message", r)
 			}
 		}()
-		spilled.LookupVals(probes[0])
+		l.Count(Pattern{attrs: spilled.Attrs(), vals: probes[0]})
 	}()
 
 	// Failed loads are not cached: heal the disk and the same PC answers.
 	ffs.Reset()
 	for i, vals := range probes {
-		got, err := spilled.LookupValsE(vals)
+		got, err := spilled.LookupValsCtx(nil, vals)
 		if err != nil {
 			t.Fatalf("probe %d: error after disk healed: %v", i, err)
 		}
-		if want := oracle.LookupVals(vals); got != want {
+		if want := mustLookup(t, oracle, vals); got != want {
 			t.Fatalf("probe %d: count %d after heal, oracle %d", i, got, want)
 		}
 	}
@@ -133,12 +139,12 @@ func TestSpilledMarginalizeSurfacesReadFault(t *testing.T) {
 		break
 	}
 	ffs.FailFrom(iofault.OpRead, ffs.Counts()[iofault.OpRead]+1, nil)
-	if _, err := spilled.MarginalizeE(d, sub); err == nil {
-		t.Fatal("MarginalizeE on dead disk returned no error")
+	if _, err := spilled.MarginalizeCtx(nil, d, sub); err == nil {
+		t.Fatal("MarginalizeCtx on dead disk returned no error")
 	}
 	ffs.Reset()
-	if _, err := spilled.MarginalizeE(d, sub); err != nil {
-		t.Fatalf("MarginalizeE after heal: %v", err)
+	if _, err := spilled.MarginalizeCtx(nil, d, sub); err != nil {
+		t.Fatalf("MarginalizeCtx after heal: %v", err)
 	}
 }
 
@@ -171,7 +177,7 @@ func TestSharedSpillFaultDegradesOnlyFaultedSet(t *testing.T) {
 		opts.SpillDir = t.TempDir()
 		opts.FS = ffs
 		opts.Stats = &stats
-		sizes, _ = LabelSizesFused(d, sets, -1, opts)
+		sizes, _ = mustLabelSizes(t, d, sets, -1, opts)
 		return sizes, stats
 	}
 

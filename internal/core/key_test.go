@@ -133,7 +133,7 @@ func TestKeyerOverflowFallsBack(t *testing.T) {
 	}
 	pc := BuildPC(d, full)
 	total := 0
-	pc.Each(16, func(vals []uint16, c int) bool {
+	mustEach(t, pc, 16, func(vals []uint16, c int) bool {
 		total += c
 		return true
 	})
@@ -142,7 +142,7 @@ func TestKeyerOverflowFallsBack(t *testing.T) {
 	}
 	// Lookup agrees with a scan for an arbitrary row.
 	p := PatternFromRow(d, 0, full)
-	if got, want := pc.Lookup(p), CountPattern(d, p); got != want {
+	if got, want := mustLookup(t, pc, p.vals), CountPattern(d, p); got != want {
 		t.Errorf("fallback lookup = %d, want %d", got, want)
 	}
 }
@@ -158,7 +158,7 @@ func TestPCAgainstScan(t *testing.T) {
 		if pc.Size() != sz {
 			t.Errorf("PC size %d != LabelSize %d for %v", pc.Size(), sz, s)
 		}
-		pc.Each(n, func(vals []uint16, c int) bool {
+		mustEach(t, pc, n, func(vals []uint16, c int) bool {
 			p, err := PatternFromIDs(s, vals)
 			if err != nil {
 				t.Fatal(err)
@@ -180,13 +180,13 @@ func TestMarginalizeMatchesRebuild(t *testing.T) {
 	full := lattice.FullSet(n)
 	parent := BuildPC(d, full)
 	lattice.AllSubsets(n, func(sub lattice.AttrSet) bool {
-		marg := parent.Marginalize(d, sub)
+		marg := mustMarginalize(t, parent, d, sub)
 		direct := BuildPC(d, sub)
 		if marg.Size() != direct.Size() {
 			t.Errorf("marginal size %d != direct %d for %v", marg.Size(), direct.Size(), sub)
 		}
-		direct.Each(n, func(vals []uint16, c int) bool {
-			if got := marg.LookupVals(vals); got != c {
+		mustEach(t, direct, n, func(vals []uint16, c int) bool {
+			if got := mustLookup(t, marg, vals); got != c {
 				t.Errorf("marginal count %d != direct %d for %v", got, c, sub)
 			}
 			return true

@@ -41,28 +41,25 @@ type Label struct {
 
 // BuildLabel computes L_S(D) with a single-threaded scan. Callers already
 // running one build per worker (package search's evaluation phase) use
-// this form; use BuildLabelOpts to shard the group-by itself.
+// this form; use BuildLabelOptsCtx to shard the group-by itself.
 func BuildLabel(d *dataset.Dataset, s lattice.AttrSet) *Label {
-	return BuildLabelOpts(d, s, CountOptions{Workers: 1})
-}
-
-// BuildLabelOpts computes L_S(D) through the sharded counting engine: the
-// PC group-by and every lazily built marginal index use the given options.
-// If an armed opts.Ctx fires mid-build it panics; ctx-arming callers use
-// BuildLabelOptsCtx.
-func BuildLabelOpts(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) *Label {
-	l, err := buildLabel(d, s, opts)
+	l, err := buildLabel(d, s, CountOptions{Workers: 1})
 	if err != nil {
-		panic("core: BuildLabelOpts: " + err.Error())
+		// Unreachable: the options carry no context, so no kernel can fail.
+		panic("core: BuildLabel: " + err.Error())
 	}
 	return l
 }
 
-// BuildLabelOptsCtx is BuildLabelOpts with cooperative cancellation: ctx
-// bounds the PC group-by (block/run granularity); a fired context aborts
-// the build cleanly — spill temp state removed, nothing half-counted — and
-// returns the typed context error with a nil label. The finished label
-// does NOT retain ctx: lazy marginal builds and queries are bounded by the
+// BuildLabelOptsCtx computes L_S(D) through the sharded counting engine:
+// the PC group-by and every lazily built marginal index use the given
+// options. It is the one engine call that takes ctx as a parameter rather
+// than in opts.Ctx, because the pipeline benchmark (pipebench) calls it
+// with that signature. ctx bounds the PC group-by (block/run
+// granularity); a fired context aborts the build cleanly — spill temp
+// state removed, nothing half-counted — and returns the typed context
+// error with a nil label. A nil ctx never cancels. The finished label does
+// NOT retain ctx: lazy marginal builds and queries are bounded by the
 // per-call contexts of CountCtx / EstimateCtx / MarginalPCCtx instead, so
 // a long-lived label never carries its build's (long-dead) context.
 func BuildLabelOptsCtx(ctx context.Context, d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*Label, error) {
@@ -142,33 +139,32 @@ func (l *Label) Size() int { return l.pc.Size() }
 // attached dataset is schema-only.
 func (l *Label) Rows() int { return l.rows }
 
-// Count returns the exact restricted count c_D(p|S ∩ Attr(p)) when p
-// constrains only attributes of S — the full PC section for Attr(p) = S, a
-// marginal index for Attr(p) ⊂ S, |D| for the empty pattern. ok is false
-// when p constrains an attribute outside S (use Estimate there: the count
-// is then approximated, not exact).
+// Count is CountCtx with a nil ctx for callers that hold a fully
+// in-memory label: a failed run read on a merge-on-read PC section panics.
 func (l *Label) Count(p Pattern) (count int, ok bool) {
-	count, ok, err := l.CountE(p)
+	count, ok, err := l.CountCtx(nil, p)
 	if err != nil {
 		panic(err.Error())
 	}
 	return count, ok
 }
 
-// CountE is Count with an explicit error path: a label whose PC section is
-// merge-on-read reads run files on demand, and a failed (once-retried)
-// read returns the error instead of a wrong count. The serving layer uses
-// this form to degrade a request instead of crashing the process.
+// CountE is CountCtx with a nil ctx. It stays only because the pipeline
+// benchmark (pipebench) calls it; new code uses CountCtx.
 func (l *Label) CountE(p Pattern) (count int, ok bool, err error) {
 	return l.CountCtx(nil, p)
 }
 
-// CountCtx is CountE with cooperative cancellation: ctx bounds the
-// on-demand work a lookup can trigger — run-file loads on a merge-on-read
-// PC section and first-use marginal index builds — and a fired context
-// returns the typed context error. A cancelled marginal build caches
-// nothing, so a later call rebuilds from scratch. A nil ctx is exactly
-// CountE.
+// CountCtx returns the exact restricted count c_D(p|S ∩ Attr(p)) when p
+// constrains only attributes of S — the full PC section for Attr(p) = S, a
+// marginal index for Attr(p) ⊂ S, |D| for the empty pattern. ok is false
+// when p constrains an attribute outside S (use EstimateCtx there: the
+// count is then approximated, not exact). ctx bounds the on-demand work a
+// lookup can trigger — run-file loads on a merge-on-read PC section and
+// first-use marginal index builds — and a fired context returns the typed
+// context error; a failed (once-retried) run read returns the error
+// instead of a wrong count. A cancelled or failed marginal build caches
+// nothing, so a later call rebuilds from scratch. A nil ctx never cancels.
 func (l *Label) CountCtx(ctx context.Context, p Pattern) (count int, ok bool, err error) {
 	if !p.attrs.Diff(l.attrs).IsEmpty() {
 		return 0, false, nil
@@ -180,7 +176,7 @@ func (l *Label) CountCtx(ctx context.Context, p Pattern) (count int, ok bool, er
 	case p.attrs.IsEmpty():
 		return l.rows, true, nil
 	default:
-		m, err := l.marginalE(ctx, p.attrs)
+		m, err := l.marginal(ctx, p.attrs)
 		if err != nil {
 			return 0, false, err
 		}
@@ -189,29 +185,13 @@ func (l *Label) CountCtx(ctx context.Context, p Pattern) (count int, ok bool, er
 	}
 }
 
-// MarginalPC returns the pattern-count index over sub ⊆ S: the label's PC
-// section for sub = S, a (lazily built, cached) marginal index for proper
-// subsets. ok is false when sub reaches outside S. Query services use it
-// to enumerate restricted-count distributions.
-func (l *Label) MarginalPC(sub lattice.AttrSet) (pc *PC, ok bool) {
-	pc, ok, err := l.MarginalPCE(sub)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pc, ok
-}
-
-// MarginalPCE is MarginalPC with an explicit error path: lazily deriving a
-// marginal from a merge-on-read PC section reads run files, and a failed
-// read returns the error instead of panicking.
-func (l *Label) MarginalPCE(sub lattice.AttrSet) (pc *PC, ok bool, err error) {
-	return l.MarginalPCCtx(nil, sub)
-}
-
-// MarginalPCCtx is MarginalPCE with cooperative cancellation: ctx bounds
-// the first-use marginal build (dataset rescan or PC-section summation); a
-// fired context returns the typed context error and caches nothing. A nil
-// ctx is exactly MarginalPCE.
+// MarginalPCCtx returns the pattern-count index over sub ⊆ S: the label's
+// PC section for sub = S, a (lazily built, cached) marginal index for
+// proper subsets. ok is false when sub reaches outside S. Query services
+// use it to enumerate restricted-count distributions. ctx bounds the
+// first-use marginal build (dataset rescan or PC-section summation); a
+// fired context or a failed run read returns the error and caches
+// nothing. A nil ctx never cancels.
 func (l *Label) MarginalPCCtx(ctx context.Context, sub lattice.AttrSet) (pc *PC, ok bool, err error) {
 	if !sub.SubsetOf(l.attrs) || sub.IsEmpty() {
 		return nil, false, nil
@@ -219,7 +199,7 @@ func (l *Label) MarginalPCCtx(ctx context.Context, sub lattice.AttrSet) (pc *PC,
 	if sub == l.attrs {
 		return l.pc, true, nil
 	}
-	pc, err = l.marginalE(ctx, sub)
+	pc, err = l.marginal(ctx, sub)
 	return pc, err == nil, err
 }
 
@@ -266,7 +246,7 @@ func (l *Label) Fraction(a int, id uint16) float64 {
 	return l.fracs[a][id-1]
 }
 
-// Estimate computes Est(p, l) (Definition 2.11): the count of p's
+// EstimateCtx computes Est(p, l) (Definition 2.11): the count of p's
 // restriction to S, multiplied by the independence fraction of every
 // pattern attribute outside S:
 //
@@ -277,44 +257,34 @@ func (l *Label) Fraction(a int, id uint16) float64 {
 // index. When Attr(p) ∩ S is empty the base count is |D| (the empty pattern
 // is satisfied by every tuple) and the estimate degenerates to the pure
 // independence estimate of Example 2.6.
+//
+// ctx bounds on-demand run-file reads and first-use marginal builds behind
+// the base count: a fired context or a failed run read on a merge-on-read
+// index returns the error instead of a wrong estimate. A nil ctx never
+// cancels.
+func (l *Label) EstimateCtx(ctx context.Context, p Pattern) (float64, error) {
+	return l.estimateRow(ctx, p.vals, p.attrs)
+}
+
+// Estimate is EstimateCtx with a nil ctx for callers that hold a fully
+// in-memory label: a failed run read on a merge-on-read index panics.
 func (l *Label) Estimate(p Pattern) float64 {
 	return l.EstimateRow(p.vals, p.attrs)
 }
 
-// EstimateRow is Estimate on a dense value slice; vals must have one slot
-// per dataset attribute and attrs identifies the constrained slots. The
-// slice is not retained.
+// EstimateRow is Estimate on a dense value slice — the Estimator
+// interface; vals must have one slot per dataset attribute and attrs
+// identifies the constrained slots. The slice is not retained. A failed
+// run read on a merge-on-read index panics.
 func (l *Label) EstimateRow(vals []uint16, attrs lattice.AttrSet) float64 {
-	est, err := l.EstimateRowE(vals, attrs)
+	est, err := l.estimateRow(nil, vals, attrs)
 	if err != nil {
 		panic(err.Error())
 	}
 	return est
 }
 
-// EstimateE is Estimate with an explicit error path (see EstimateRowE).
-func (l *Label) EstimateE(p Pattern) (float64, error) {
-	return l.EstimateRowE(p.vals, p.attrs)
-}
-
-// EstimateCtx is EstimateE with cooperative cancellation (see
-// EstimateRowCtx). A nil ctx is exactly EstimateE.
-func (l *Label) EstimateCtx(ctx context.Context, p Pattern) (float64, error) {
-	return l.EstimateRowCtx(ctx, p.vals, p.attrs)
-}
-
-// EstimateRowE is EstimateRow with an explicit error path: the base count
-// may come from a merge-on-read index, and a failed run read returns the
-// error instead of a wrong estimate.
-func (l *Label) EstimateRowE(vals []uint16, attrs lattice.AttrSet) (float64, error) {
-	return l.EstimateRowCtx(nil, vals, attrs)
-}
-
-// EstimateRowCtx is EstimateRowE with cooperative cancellation: ctx bounds
-// on-demand run-file reads and first-use marginal builds behind the base
-// count; a fired context returns the typed context error. A nil ctx is
-// exactly EstimateRowE.
-func (l *Label) EstimateRowCtx(ctx context.Context, vals []uint16, attrs lattice.AttrSet) (float64, error) {
+func (l *Label) estimateRow(ctx context.Context, vals []uint16, attrs lattice.AttrSet) (float64, error) {
 	inter := attrs.Intersect(l.attrs)
 	var base float64
 	switch {
@@ -327,7 +297,7 @@ func (l *Label) EstimateRowCtx(ctx context.Context, vals []uint16, attrs lattice
 	case inter.IsEmpty():
 		base = float64(l.rows)
 	default:
-		m, err := l.marginalE(ctx, inter)
+		m, err := l.marginal(ctx, inter)
 		if err != nil {
 			return 0, err
 		}
@@ -373,22 +343,12 @@ func (l *Label) ReleaseSpill() {
 // sum the PC section instead — identical on NULL-free data, and marginals
 // the building process had already materialized from the dataset are
 // persisted and restored verbatim (PutMarginal), so those stay exact
-// either way.
-func (l *Label) marginal(sub lattice.AttrSet) *PC {
-	pc, err := l.marginalE(nil, sub)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pc
-}
-
-// marginalE is marginal with an explicit error path: summing a
-// merge-on-read PC section reads run files, and a failed read returns the
-// error without caching anything — a later call rebuilds from scratch.
-// ctx bounds the build (dataset rescan or PC-section summation); a fired
-// context returns the typed context error and likewise caches nothing. A
-// nil ctx never cancels.
-func (l *Label) marginalE(ctx context.Context, sub lattice.AttrSet) (*PC, error) {
+// either way. Summing a merge-on-read PC section reads run files, and a
+// failed read returns the error without caching anything — a later call
+// rebuilds from scratch. ctx bounds the build (dataset rescan or
+// PC-section summation); a fired context returns the typed context error
+// and likewise caches nothing. A nil ctx never cancels.
+func (l *Label) marginal(ctx context.Context, sub lattice.AttrSet) (*PC, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if pc, ok := l.marginals[sub]; ok {

@@ -25,7 +25,7 @@ func TestExample210(t *testing.T) {
 	}
 	ageIdx, _ := d.AttrIndex("age group")
 	marIdx, _ := d.AttrIndex("marital status")
-	l.PC().Each(d.NumAttrs(), func(vals []uint16, c int) bool {
+	mustEach(t, l.PC(), d.NumAttrs(), func(vals []uint16, c int) bool {
 		key := d.Attr(ageIdx).Value(vals[ageIdx]) + "|" + d.Attr(marIdx).Value(vals[marIdx])
 		if wantPC[key] != c {
 			t.Errorf("PC[%s] = %d, want %d", key, c, wantPC[key])

@@ -22,7 +22,7 @@ import (
 
 // SetCountOptions replaces the engine options the label uses for derived
 // work — merges, lazy marginal materialization, spill rewrites. Labels
-// built by BuildLabelOpts inherit the build's options; labels reopened
+// built by BuildLabelOptsCtx inherit the build's options; labels reopened
 // from an artifact start with defaults, and callers that merge into them
 // (or serve them under a memory budget) configure the engine here before
 // the first query. Not safe concurrently with queries.
@@ -178,7 +178,10 @@ func (l *Label) mergeMarginals(delta *Label, rows int) (map[lattice.AttrSet]*PC,
 				basePC.ReleaseSpill()
 				continue
 			}
-			dpc = BuildPCParallel(delta.d, sub, delta.copts)
+			var err error
+			if dpc, err = BuildPCParallel(delta.d, sub, delta.copts); err != nil {
+				return nil, err
+			}
 		}
 		merged, err := mergePC(basePC, dpc, delta.d, rows, l.copts)
 		if err != nil {
@@ -194,7 +197,7 @@ func (l *Label) mergeMarginals(delta *Label, rows int) (map[lattice.AttrSet]*PC,
 // per-key sum of the two. The base representation is reused (and mutated)
 // when its key encoding is still valid over the union dictionaries d;
 // otherwise both indexes stream into a fresh representation keyed over d.
-// The delta streams via EachE regardless of its own representation —
+// The delta streams via EachCtx regardless of its own representation —
 // including merge-on-read spilled deltas.
 func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (*PC, error) {
 	k := NewKeyer(d, base.Attrs())
@@ -205,7 +208,7 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 	switch {
 	case base.dz != nil && sameKeyLayout(base.keyer, k):
 		out := &PC{keyer: k, dz: base.dz, distinct: base.distinct}
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			if key, ok := k.KeyVals(vals); ok {
 				if out.dz[key] == 0 {
 					out.distinct++
@@ -219,7 +222,7 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 		return out, nil
 	case base.u != nil && sameKeyLayout(base.keyer, k):
 		out := &PC{keyer: k, u: base.u}
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			if key, ok := k.KeyVals(vals); ok {
 				out.u[key] += c
 			}
@@ -233,7 +236,7 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 		// invalidates them, so the base map always absorbs the delta.
 		out := &PC{keyer: k, s: base.s}
 		var buf []byte
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			b, ok := k.AppendBytesVals(buf[:0], vals)
 			buf = b
 			if ok {
@@ -254,14 +257,14 @@ func mergePC(base, delta *PC, d *dataset.Dataset, rows int, opts CountOptions) (
 }
 
 // mergeRekey streams any number of indexes into a fresh index keyed by k,
-// choosing dense / u64-map / byte-map exactly as MarginalizeE does.
+// choosing dense / u64-map / byte-map exactly as MarginalizeCtx does.
 func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, error) {
 	out := &PC{keyer: k}
 	if radix, ok := denseRadix(k, rows, opts.denseLimit()); ok {
 		counts := make([]int32, radix)
 		distinct := 0
 		for _, pc := range parts {
-			if err := pc.EachE(n, func(vals []uint16, c int) bool {
+			if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 				if key, ok := k.KeyVals(vals); ok {
 					if counts[key] == 0 {
 						distinct++
@@ -279,7 +282,7 @@ func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, er
 	if k.Fits() {
 		out.u = make(map[uint64]int)
 		for _, pc := range parts {
-			if err := pc.EachE(n, func(vals []uint16, c int) bool {
+			if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 				if key, ok := k.KeyVals(vals); ok {
 					out.u[key] += c
 				}
@@ -293,7 +296,7 @@ func mergeRekey(k *Keyer, n, rows int, opts CountOptions, parts ...*PC) (*PC, er
 	out.s = make(map[string]int)
 	var buf []byte
 	for _, pc := range parts {
-		if err := pc.EachE(n, func(vals []uint16, c int) bool {
+		if err := pc.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			b, ok := k.AppendBytesVals(buf[:0], vals)
 			buf = b
 			if ok {
@@ -356,7 +359,7 @@ func mergeSpilledAppend(sp *spilledPC, delta *PC, k *Keyer, n, workers int, form
 
 	if format == spillFmtU64 {
 		perRun := make(map[int]map[uint64]int)
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			if key, ok := k.KeyVals(vals); ok {
 				run := w.RunOfU64(key)
 				m := perRun[run]
@@ -393,7 +396,7 @@ func mergeSpilledAppend(sp *spilledPC, delta *PC, k *Keyer, n, workers int, form
 	} else {
 		perRun := make(map[int]map[string]int)
 		var buf []byte
-		if err := delta.EachE(n, func(vals []uint16, c int) bool {
+		if err := delta.EachCtx(nil, n, func(vals []uint16, c int) bool {
 			b, ok := k.AppendBytesVals(buf[:0], vals)
 			buf = b
 			if ok {
@@ -499,7 +502,7 @@ func mergeSpilledRewrite(sp *spilledPC, baseKeyer *Keyer, delta *PC, k *Keyer, n
 			return nil, err
 		}
 	}
-	if err := delta.EachE(n, func(dvals []uint16, c int) bool {
+	if err := delta.EachCtx(nil, n, func(dvals []uint16, c int) bool {
 		if outFormat == spillFmtU64 {
 			if key, ok := k.KeyVals(dvals); ok {
 				for i := 0; i < c; i++ {

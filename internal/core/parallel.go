@@ -89,13 +89,10 @@ type CountOptions struct {
 	// fusedBlockRows rows), run granularity (K-way spill counting) and
 	// chunk/item granularity (workpool dispatch), stop cleanly when it
 	// fires — deferred spill Cleanups still run, no partial result
-	// escapes — and the error-returning entry points surface the typed
-	// context error (context.Canceled or context.DeadlineExceeded). The
-	// error-free entry points (BuildPCParallel, LabelSizesFused, …) panic
-	// if an armed context fires mid-scan, exactly like the error-free
-	// query methods on unrecoverable spill reads; callers arming Ctx
-	// should use the *E / *Ctx variants. A nil Ctx (or a never-cancelled
-	// context) makes every check a single nil compare — see ctx.go.
+	// escapes — and the entry point returns the typed context error
+	// (context.Canceled or context.DeadlineExceeded). A nil Ctx (or a
+	// never-cancelled context) makes every check a single nil compare —
+	// see ctx.go.
 	Ctx context.Context
 
 	// minRowsPerWorker overrides the sequential-fallback threshold. Only
@@ -117,59 +114,13 @@ func (o CountOptions) scanWorkers(rows int) int {
 // row chunk into private state (a flat dense array or a map, per the
 // kernel selection rules in dense.go) and the shards are merged — vector
 // addition for dense shards, map union otherwise. The result is identical
-// to BuildPC for every worker count. If an armed CountOptions.Ctx fires
-// mid-build it panics; ctx-arming callers use BuildPCParallelCtx.
-func BuildPCParallel(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) *PC {
-	pc, err := buildPC(d, s, opts, opts.scanWorkers(d.NumRows()))
-	if err != nil {
-		panic("core: BuildPCParallel: " + err.Error())
-	}
-	return pc
-}
-
-// BuildPCParallelCtx is BuildPCParallel with cooperative cancellation: ctx
-// (stored into opts.Ctx) is checked at block granularity during the scan
-// and at run granularity during spilled counting. A fired context aborts
-// the build cleanly — spill temp directories are removed, pooled slabs
-// returned — and the typed context error is returned with a nil PC; a
-// partially counted PC is never produced.
-func BuildPCParallelCtx(ctx context.Context, d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PC, error) {
-	opts.Ctx = ctx
+// to BuildPC for every worker count. With CountOptions.Ctx armed, the scan
+// checks it at block granularity and spilled counting at run granularity;
+// a fired context aborts the build cleanly — spill temp directories are
+// removed, pooled slabs returned — and the typed context error is
+// returned with a nil PC; a partially counted PC is never produced.
+func BuildPCParallel(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PC, error) {
 	return buildPC(d, s, opts, opts.scanWorkers(d.NumRows()))
-}
-
-// LabelSizeParallel is LabelSize with a sharded scan. Cap-abort semantics
-// are preserved exactly: the result is (cap+1, false) precisely when the
-// true distinct count exceeds cap, regardless of worker count or
-// scheduling. If an armed CountOptions.Ctx fires mid-scan it panics;
-// ctx-arming callers use LabelSizeParallelE.
-func LabelSizeParallel(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool) {
-	size, within, err := LabelSizeParallelE(d, s, cap, opts)
-	if err != nil {
-		panic("core: LabelSizeParallel: " + err.Error())
-	}
-	return size, within
-}
-
-// LabelSizeParallelE is LabelSizeParallel returning cancellation as an
-// error: with CountOptions.Ctx armed, a fired context aborts the scan at
-// the next block (or spill-run) boundary and surfaces the typed context
-// error. Disk trouble on the spill tier is not an error here — it degrades
-// to the in-memory kernels, metered in ScanStats.
-func LabelSizeParallelE(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
-	// The sequential LabelSize loop has no cancellation points and no spill
-	// tier; with an armed context or a memory budget the single-set fused
-	// scan (bit-identical results) carries the per-block checks and the
-	// spill routing instead.
-	if opts.MemBudget <= 0 && opts.scanWorkers(d.NumRows()) <= 1 && opts.stop().done == nil {
-		sz, w := LabelSize(d, s, cap)
-		return sz, w, nil
-	}
-	sizes, within2, err := LabelSizesFusedE(d, []lattice.AttrSet{s}, cap, opts)
-	if err != nil {
-		return 0, false, err
-	}
-	return sizes[0], within2[0], nil
 }
 
 // fusedSet is the per-attribute-set state of one fused scan worker. Exactly
@@ -188,7 +139,8 @@ type fusedSet struct {
 // set, shared column access, and per-set early abort once a set's distinct
 // count exceeds cap. Row chunks are additionally sharded across workers
 // (CountOptions). For each set i the returned pair (sizes[i], within[i])
-// is exactly what LabelSize(d, sets[i], cap) returns.
+// is exactly what LabelSize(d, sets[i], cap) returns, regardless of worker
+// count or scheduling; sizing one set is a one-set frontier.
 //
 // With cap >= 0 the per-worker memory is bounded by len(sets) × (cap+1)
 // entries: a set stops accumulating the moment it is proven out of bound.
@@ -204,22 +156,13 @@ type fusedSet struct {
 // order (deterministic for every worker count); all other sets scan fused
 // as usual.
 //
-// If an armed CountOptions.Ctx fires mid-scan it panics; ctx-arming
-// callers use LabelSizesFusedE.
-func LabelSizesFused(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool) {
-	sizes, within, err := LabelSizesFusedE(d, sets, cap, opts)
-	if err != nil {
-		panic("core: LabelSizesFused: " + err.Error())
-	}
-	return sizes, within
-}
-
-// LabelSizesFusedE is LabelSizesFused returning cancellation as an error:
-// with CountOptions.Ctx armed, every worker of the fused scan checks the
+// With CountOptions.Ctx armed, every worker of the fused scan checks the
 // context once per fusedBlockRows row block (and the spill tier once per
 // run) and the whole frontier evaluation aborts with the typed context
-// error — sizes and within are nil then, never partially filled.
-func LabelSizesFusedE(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
+// error — sizes and within are nil then, never partially filled. Disk
+// trouble on the spill tier is not an error here — it degrades to the
+// in-memory kernels, metered in ScanStats.
+func LabelSizesFused(d *dataset.Dataset, sets []lattice.AttrSet, cap int, opts CountOptions) (sizes []int, within []bool, err error) {
 	if opts.MemBudget > 0 {
 		if si, ok := planSpilledSets(d, sets, opts); ok {
 			return labelSizesSplit(d, sets, cap, opts, si)

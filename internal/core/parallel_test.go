@@ -124,18 +124,21 @@ func pcRepr(pc *PC) string {
 	}
 }
 
-// pcDump flattens a PC into pattern→count form via Each, independent of
-// the storage representation.
+// pcDump flattens a PC into pattern→count form via EachCtx, independent
+// of the storage representation. A failed read panics: callers run it on
+// indexes whose reads cannot fail, some of them off the test goroutine.
 func pcDump(pc *PC) map[string]int {
 	out := make(map[string]int)
-	pc.Each(lattice.MaxAttrs, func(vals []uint16, c int) bool {
+	if err := pc.EachCtx(nil, lattice.MaxAttrs, func(vals []uint16, c int) bool {
 		var key strings.Builder
 		for _, a := range pc.Attrs().Members() {
 			fmt.Fprintf(&key, "%d=%d;", a, vals[a])
 		}
 		out[key.String()] = c
 		return true
-	})
+	}); err != nil {
+		panic(err)
+	}
 	return out
 }
 
@@ -166,7 +169,7 @@ func TestDifferentialBuildPCParallel(t *testing.T) {
 			for _, s := range diffAttrSets(cfg.attrs, rng) {
 				want := BuildPC(d, s)
 				for _, workers := range diffWorkerCounts {
-					got := BuildPCParallel(d, s, testCountOptions(workers))
+					got := mustBuildPC(t, d, s, testCountOptions(workers))
 					pcEqual(t, want, got)
 					if got.Size() != want.Size() {
 						t.Fatalf("set %v workers=%d: Size %d, want %d", s, workers, got.Size(), want.Size())
@@ -198,7 +201,7 @@ func TestDifferentialLabelSizeParallel(t *testing.T) {
 				for _, cap := range diffCaps(trueSize) {
 					wantSize, wantWithin := LabelSize(d, s, cap)
 					for _, workers := range diffWorkerCounts {
-						gotSize, gotWithin := LabelSizeParallel(d, s, cap, testCountOptions(workers))
+						gotSize, gotWithin := mustLabelSize(t, d, s, cap, testCountOptions(workers))
 						if gotSize != wantSize || gotWithin != wantWithin {
 							t.Fatalf("set %v cap=%d workers=%d: got (%d, %v), want (%d, %v)",
 								s, cap, workers, gotSize, gotWithin, wantSize, wantWithin)
@@ -230,7 +233,7 @@ func TestDifferentialLabelSizesFused(t *testing.T) {
 			}
 			for _, cap := range []int{-1, 0, 1, maxSize / 2, maxSize, maxSize + 1} {
 				for _, workers := range diffWorkerCounts {
-					sizes, within := LabelSizesFused(d, sets, cap, testCountOptions(workers))
+					sizes, within := mustLabelSizes(t, d, sets, cap, testCountOptions(workers))
 					if len(sizes) != len(sets) || len(within) != len(sets) {
 						t.Fatalf("cap=%d workers=%d: result length %d/%d, want %d",
 							cap, workers, len(sizes), len(within), len(sets))
@@ -252,7 +255,7 @@ func TestDifferentialLabelSizesFused(t *testing.T) {
 // batcher can produce.
 func TestLabelSizesFusedEmptyFrontier(t *testing.T) {
 	d := diffDataset(t, diffConfigs[2], 7)
-	sizes, within := LabelSizesFused(d, nil, 10, CountOptions{Workers: 4})
+	sizes, within := mustLabelSizes(t, d, nil, 10, CountOptions{Workers: 4})
 	if len(sizes) != 0 || len(within) != 0 {
 		t.Fatalf("got %d/%d results for empty frontier", len(sizes), len(within))
 	}
@@ -268,7 +271,7 @@ func TestBuildPCParallelSequentialFallback(t *testing.T) {
 		t.Fatalf("scanWorkers(%d) = %d, want 1 (below per-worker minimum)", d.NumRows(), w)
 	}
 	s := lattice.FullSet(cfg.attrs)
-	pcEqual(t, BuildPC(d, s), BuildPCParallel(d, s, CountOptions{Workers: 8}))
+	pcEqual(t, BuildPC(d, s), mustBuildPC(t, d, s, CountOptions{Workers: 8}))
 }
 
 // TestDifferentialSearchStyleFrontier mirrors how package search drives the
@@ -285,7 +288,7 @@ func TestDifferentialSearchStyleFrontier(t *testing.T) {
 				return true
 			})
 			for _, workers := range diffWorkerCounts {
-				sizes, within := LabelSizesFused(d, frontier, bound, testCountOptions(workers))
+				sizes, within := mustLabelSizes(t, d, frontier, bound, testCountOptions(workers))
 				for i, s := range frontier {
 					wantSize, wantWithin := LabelSize(d, s, bound)
 					if sizes[i] != wantSize || within[i] != wantWithin {

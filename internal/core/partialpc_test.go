@@ -97,7 +97,7 @@ func TestPartialBeatsStandardOnNulls(t *testing.T) {
 	xa := lattice.NewAttrSet(0)
 	vals := []uint16{1, 0, 0} // x = "a"
 	sum := 0
-	std.Each(3, func(v []uint16, c int) bool {
+	mustEach(t, std, 3, func(v []uint16, c int) bool {
 		if v[0] == 1 {
 			sum += c
 		}

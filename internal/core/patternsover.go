@@ -9,19 +9,18 @@ import (
 // evaluation set): every pattern with Attr(p) = s and positive count. The
 // problem definition (2.15) explicitly allows optimizing a label for such
 // restricted workloads — "patterns that include only sensitive attributes" —
-// instead of the default P_A.
-func PatternsOver(d *dataset.Dataset, s lattice.AttrSet) *PatternSet {
-	return PatternsOverOpts(d, s, CountOptions{Workers: 1})
-}
-
-// PatternsOverOpts is PatternsOver with the underlying group-by routed
-// through the sharded counting engine.
-func PatternsOverOpts(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) *PatternSet {
-	pc := BuildPCParallel(d, s, opts)
+// instead of the default P_A. The group-by runs on the sharded counting
+// engine under opts; a fired opts.Ctx or a failed run read of a spilled
+// index returns the error and no set.
+func PatternsOver(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) (*PatternSet, error) {
+	pc, err := BuildPCParallel(d, s, opts)
+	if err != nil {
+		return nil, err
+	}
 	defer pc.ReleaseSpill() // transient index: drop merge-on-read runs eagerly
 	n := d.NumAttrs()
 	ps := &PatternSet{stride: n}
-	pc.Each(n, func(vals []uint16, c int) bool {
+	if err := pc.EachCtx(opts.Ctx, n, func(vals []uint16, c int) bool {
 		base := len(ps.flat)
 		ps.flat = append(ps.flat, make([]uint16, n)...)
 		for _, a := range s.Members() {
@@ -30,8 +29,10 @@ func PatternsOverOpts(d *dataset.Dataset, s lattice.AttrSet, opts CountOptions) 
 		ps.counts = append(ps.counts, c)
 		ps.attrs = append(ps.attrs, s)
 		return true
-	})
-	return ps
+	}); err != nil {
+		return nil, err
+	}
+	return ps, nil
 }
 
 // CrossProductPatterns builds every value combination over s from the
@@ -50,7 +51,8 @@ func CrossProductPatterns(d *dataset.Dataset, s lattice.AttrSet) *PatternSet {
 			base := len(ps.flat)
 			ps.flat = append(ps.flat, make([]uint16, n)...)
 			copy(ps.flat[base:], vals)
-			ps.counts = append(ps.counts, pc.LookupVals(vals))
+			c, _ := pc.LookupValsCtx(nil, vals) // in-memory index: cannot fail
+			ps.counts = append(ps.counts, c)
 			ps.attrs = append(ps.attrs, s)
 			return
 		}

@@ -10,7 +10,10 @@ import (
 func TestPatternsOver(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "age group", "marital status")
-	ps := PatternsOver(d, s)
+	ps, err := PatternsOver(d, s, CountOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Example 2.10: exactly 3 positive-count patterns over this set.
 	if ps.Len() != 3 {
 		t.Fatalf("patterns = %d, want 3", ps.Len())
@@ -61,7 +64,10 @@ func TestCrossProductPatterns(t *testing.T) {
 func TestLabelOptimizedForRestrictedWorkload(t *testing.T) {
 	d := testutil.Fig2()
 	s, _ := lattice.FromNames(d.AttrNames(), "gender", "race")
-	ps := PatternsOver(d, s)
+	ps, err := PatternsOver(d, s, CountOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := BuildLabel(d, s)
 	res := Evaluate(l, ps, EvalOptions{})
 	if res.MaxAbs != 0 {

@@ -71,15 +71,10 @@ const uncompactedGroupSpace = 1 << 16
 // BuildRefinable groups dataset d by attribute set s, retaining the
 // row→group assignment. Group ids follow first appearance in row order.
 // It returns nil when the dataset is too large for the int32 group vector
-// (callers fall back to plain BuildPC).
-func BuildRefinable(d *dataset.Dataset, s lattice.AttrSet) *RefinablePC {
-	return BuildRefinablePooled(d, s, nil)
-}
-
-// BuildRefinablePooled is BuildRefinable drawing the group vector and its
-// dense scratch from a pool; the returned index owns its pooled slabs
-// until Release.
-func BuildRefinablePooled(d *dataset.Dataset, s lattice.AttrSet, pool *VecPool) *RefinablePC {
+// (callers fall back to plain BuildPC). The group vector and its dense
+// scratch come from pool (nil means plain allocation); the returned index
+// owns its pooled slabs until Release.
+func BuildRefinable(d *dataset.Dataset, s lattice.AttrSet, pool *VecPool) *RefinablePC {
 	rows := d.NumRows()
 	if rows > math.MaxInt32 {
 		return nil
@@ -255,14 +250,9 @@ func (r *RefinablePC) Release(pool *VecPool) {
 // RefineSize returns LabelSize(d, S ∪ {a}, cap) computed from the group
 // vector: the number of distinct (group, value-of-a) pairs, with exactly
 // the sequential cap-abort contract. The attribute must not be a member.
-func (r *RefinablePC) RefineSize(d *dataset.Dataset, a, cap int) (size int, within bool) {
-	_, size, within = r.refine(d, a, cap, false, nil)
-	return size, within
-}
-
-// RefineSizePooled is RefineSize drawing its compact-space scratch slab
-// from a pool (and returning it before the call completes).
-func (r *RefinablePC) RefineSizePooled(d *dataset.Dataset, a, cap int, pool *VecPool) (size int, within bool) {
+// The compact-space scratch slab comes from pool (nil means plain
+// allocation) and goes back before the call completes.
+func (r *RefinablePC) RefineSize(d *dataset.Dataset, a, cap int, pool *VecPool) (size int, within bool) {
 	_, size, within = r.refine(d, a, cap, false, pool)
 	return size, within
 }
@@ -271,15 +261,11 @@ func (r *RefinablePC) RefineSizePooled(d *dataset.Dataset, a, cap int, pool *Vec
 // from the group vector without re-keying the member attributes. When
 // cap >= 0 and the child's size exceeds it, refinement aborts with
 // (nil, cap+1, false) — the caller only learns the bound was breached,
-// exactly as LabelSize reports. The attribute must not be a member.
-func (r *RefinablePC) Refine(d *dataset.Dataset, a, cap int) (child *RefinablePC, size int, within bool) {
-	return r.refine(d, a, cap, true, nil)
-}
-
-// RefinePooled is Refine with the child's group vector, count slab and the
-// pass's scratch drawn from a pool; the returned child owns its pooled
-// slabs until Release.
-func (r *RefinablePC) RefinePooled(d *dataset.Dataset, a, cap int, pool *VecPool) (child *RefinablePC, size int, within bool) {
+// exactly as LabelSize reports. The attribute must not be a member. The
+// child's group vector, count slab and the pass's scratch come from pool
+// (nil means plain allocation); the returned child owns its pooled slabs
+// until Release.
+func (r *RefinablePC) Refine(d *dataset.Dataset, a, cap int, pool *VecPool) (child *RefinablePC, size int, within bool) {
 	return r.refine(d, a, cap, true, pool)
 }
 
@@ -297,10 +283,11 @@ func (r *RefinablePC) refine(d *dataset.Dataset, a, cap int, build bool, pool *V
 		// materialized child is requested but the kernel cannot produce one
 		// (non-dense compact space, or the added attribute breaks the
 		// slot-key chain), fall back to a raw build — same result.
-		res := r.RefineBatch(d, []BatchSpec{{Attr: a, Build: build}}, cap, CountOptions{Workers: 1, Pool: pool})
+		// The options arm no Ctx, so the batch pass cannot fail.
+		res, _ := r.RefineBatch(d, []BatchSpec{{Attr: a, Build: build}}, cap, CountOptions{Workers: 1, Pool: pool})
 		out := res[0]
 		if build && out.Within && out.Child == nil {
-			out.Child = BuildRefinablePooled(d, r.attrs.Add(a), pool)
+			out.Child = BuildRefinable(d, r.attrs.Add(a), pool)
 		}
 		return out.Child, out.Size, out.Within
 	}
@@ -619,7 +606,7 @@ func RefineFrom(d *dataset.Dataset, parent *RefinablePC, child lattice.AttrSet) 
 	if !parent.attrs.SubsetOf(child) || added.Size() != 1 {
 		return nil, false
 	}
-	ch, _, _ := parent.Refine(d, added.MinIndex(), -1)
+	ch, _, _ := parent.Refine(d, added.MinIndex(), -1, nil)
 	return ch.PC(d), true
 }
 

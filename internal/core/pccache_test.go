@@ -3,7 +3,7 @@ package core
 // Differential coverage for parent-PC reuse: refinement chains from the
 // empty set must reproduce BuildPC bit-identically at every lattice step
 // (including byte-key attribute sets and cap-abort boundaries), and
-// PC.Marginalize — the inverse direction — must match a raw group-by of
+// PC.MarginalizeCtx — the inverse direction — must match a raw group-by of
 // the sub-set on NULL-free data. PCCache coverage pins the memory budget
 // and level-eviction behaviour.
 
@@ -24,7 +24,7 @@ func TestDifferentialRefinableMatchesBuildPC(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+1)
 			rng := rand.New(rand.NewPCG(uint64(ci), 0x4EF1))
 			for _, s := range diffAttrSets(cfg.attrs, rng) {
-				r := BuildRefinable(d, s)
+				r := BuildRefinable(d, s, nil)
 				if r == nil {
 					t.Fatalf("set %v: BuildRefinable returned nil", s)
 				}
@@ -52,19 +52,19 @@ func TestDifferentialRefineChain(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(ci), 0xC4A1))
 			for trial := 0; trial < 3; trial++ {
 				order := rng.Perm(cfg.attrs)
-				cur := BuildRefinable(d, lattice.AttrSet(0))
+				cur := BuildRefinable(d, lattice.AttrSet(0), nil)
 				attrs := lattice.AttrSet(0)
 				for _, a := range order {
 					trueSize, _ := LabelSize(d, attrs.Add(a), -1)
 					for _, cap := range diffCaps(trueSize) {
 						wantSize, wantWithin := LabelSize(d, attrs.Add(a), cap)
-						gotSize, gotWithin := cur.RefineSize(d, a, cap)
+						gotSize, gotWithin := cur.RefineSize(d, a, cap, nil)
 						if gotSize != wantSize || gotWithin != wantWithin {
 							t.Fatalf("refine %v+%d cap=%d: got (%d, %v), want (%d, %v)",
 								attrs, a, cap, gotSize, gotWithin, wantSize, wantWithin)
 						}
 					}
-					child, size, within := cur.Refine(d, a, -1)
+					child, size, within := cur.Refine(d, a, -1, nil)
 					if !within || size != trueSize {
 						t.Fatalf("refine %v+%d: size %d within %v, want %d", attrs, a, size, within, trueSize)
 					}
@@ -84,7 +84,7 @@ func TestRefineFromAPI(t *testing.T) {
 	cfg := diffConfig{rows: 1500, attrs: 5, domain: 6, nullRate: 0.1}
 	d := diffDataset(t, cfg, 17)
 	parentSet := lattice.NewAttrSet(0, 2)
-	parent := BuildRefinable(d, parentSet)
+	parent := BuildRefinable(d, parentSet, nil)
 	pc, ok := RefineFrom(d, parent, parentSet.Add(4))
 	if !ok {
 		t.Fatal("RefineFrom rejected a one-attribute extension")
@@ -109,11 +109,11 @@ func TestRefineFromAPI(t *testing.T) {
 // groups.
 func TestRefineEmptyAndDegenerate(t *testing.T) {
 	empty := diffDataset(t, diffConfigs[0], 1) // 0 rows
-	r := BuildRefinable(empty, lattice.AttrSet(0))
+	r := BuildRefinable(empty, lattice.AttrSet(0), nil)
 	if r.Groups() != 0 {
 		t.Fatalf("empty dataset root has %d groups, want 0", r.Groups())
 	}
-	child, size, within := r.Refine(empty, 1, 5)
+	child, size, within := r.Refine(empty, 1, 5, nil)
 	if size != 0 || !within || child.Groups() != 0 {
 		t.Fatalf("empty refine = (%d, %v, %d groups), want (0, true, 0)", size, within, child.Groups())
 	}
@@ -130,12 +130,12 @@ func TestRefineEmptyAndDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := BuildRefinable(d, lattice.AttrSet(0))
-	single, size, _ := root.Refine(d, 0, -1)
+	root := BuildRefinable(d, lattice.AttrSet(0), nil)
+	single, size, _ := root.Refine(d, 0, -1, nil)
 	if size != 1 {
 		t.Fatalf("singleton size %d, want 1", size)
 	}
-	allNull, size, within := single.Refine(d, 1, -1)
+	allNull, size, within := single.Refine(d, 1, -1, nil)
 	if size != 0 || !within {
 		t.Fatalf("all-NULL refine = (%d, %v), want (0, true)", size, within)
 	}
@@ -167,7 +167,7 @@ func TestDifferentialMarginalize(t *testing.T) {
 					subs = append(subs, s)
 				}
 				for _, sub := range subs {
-					pcEqual(t, BuildPC(d, sub), pc.Marginalize(d, sub))
+					pcEqual(t, BuildPC(d, sub), mustMarginalize(t, pc, d, sub))
 				}
 			}
 		})
@@ -179,7 +179,7 @@ func TestDifferentialMarginalize(t *testing.T) {
 		t.Fatalf("wide parent repr = %s, want bytes", pcRepr(parent))
 	}
 	for _, sub := range []lattice.AttrSet{lattice.NewAttrSet(0), lattice.NewAttrSet(1, 3)} {
-		pcEqual(t, BuildPC(wide, sub), parent.Marginalize(wide, sub))
+		pcEqual(t, BuildPC(wide, sub), mustMarginalize(t, parent, wide, sub))
 	}
 }
 
@@ -187,9 +187,9 @@ func TestDifferentialMarginalize(t *testing.T) {
 func TestPCCacheBudget(t *testing.T) {
 	cfg := diffConfig{rows: 400, attrs: 4, domain: 3, nullRate: 0}
 	d := diffDataset(t, cfg, 23)
-	r0 := BuildRefinable(d, lattice.NewAttrSet(0))
-	r1 := BuildRefinable(d, lattice.NewAttrSet(1))
-	r01 := BuildRefinable(d, lattice.NewAttrSet(0, 1))
+	r0 := BuildRefinable(d, lattice.NewAttrSet(0), nil)
+	r1 := BuildRefinable(d, lattice.NewAttrSet(1), nil)
+	r01 := BuildRefinable(d, lattice.NewAttrSet(0, 1), nil)
 
 	c := NewPCCache(r0.MemBytes()+r01.MemBytes(), NewVecPool(0))
 	if !c.Put(r0) {
@@ -232,20 +232,20 @@ func TestPCCacheBudget(t *testing.T) {
 // TestRefinePanicsOnMember documents the programmer-error contract.
 func TestRefinePanicsOnMember(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 50, attrs: 3, domain: 3, nullRate: 0}, 3)
-	r := BuildRefinable(d, lattice.NewAttrSet(1))
+	r := BuildRefinable(d, lattice.NewAttrSet(1), nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("refining by a member attribute must panic")
 		}
 	}()
-	r.RefineSize(d, 1, -1)
+	r.RefineSize(d, 1, -1, nil)
 }
 
 // TestRefinableAccessors smoke-tests the metadata the scheduler relies on.
 func TestRefinableAccessors(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 300, attrs: 4, domain: 4, nullRate: 0.1}, 4)
 	s := lattice.NewAttrSet(1, 2)
-	r := BuildRefinable(d, s)
+	r := BuildRefinable(d, s, nil)
 	if r.Attrs() != s {
 		t.Errorf("Attrs = %v, want %v", r.Attrs(), s)
 	}

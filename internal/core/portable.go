@@ -40,12 +40,13 @@ type PortablePattern struct {
 	Count  int      `json:"count"`
 }
 
-// Portable converts the label to its self-contained form.
+// Portable converts the label to its self-contained form. A failed run
+// read on a merge-on-read PC section panics, as Count does.
 func (l *Label) Portable() *PortableLabel {
 	d := l.Dataset()
 	pl := &PortableLabel{
 		Dataset:   d.Name(),
-		TotalRows: d.NumRows(),
+		TotalRows: l.rows,
 	}
 	for a := 0; a < d.NumAttrs(); a++ {
 		attr := d.Attr(a)
@@ -59,14 +60,16 @@ func (l *Label) Portable() *PortableLabel {
 	for _, i := range members {
 		pl.LabelAttrs = append(pl.LabelAttrs, d.Attr(i).Name())
 	}
-	l.pc.Each(d.NumAttrs(), func(vals []uint16, c int) bool {
+	if err := l.pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, c int) bool {
 		e := PortablePattern{Count: c}
 		for _, i := range members {
 			e.Values = append(e.Values, d.Attr(i).Value(vals[i]))
 		}
 		pl.PC = append(pl.PC, e)
 		return true
-	})
+	}); err != nil {
+		panic(err.Error())
+	}
 	sort.Slice(pl.PC, func(x, y int) bool {
 		return strings.Join(pl.PC[x].Values, "\x00") < strings.Join(pl.PC[y].Values, "\x00")
 	})
@@ -91,7 +94,13 @@ func DecodePortableLabel(data []byte) (*PortableLabel, error) {
 	return &pl, nil
 }
 
+// validate rejects documents that Estimate would answer wrongly: counts
+// must be non-negative, and a name may appear once among the attributes,
+// once among one attribute's values and once among the label attributes.
 func (pl *PortableLabel) validate() error {
+	if pl.TotalRows < 0 {
+		return fmt.Errorf("core: negative total_rows %d", pl.TotalRows)
+	}
 	names := make(map[string]bool, len(pl.Attrs))
 	for _, a := range pl.Attrs {
 		if len(a.Values) != len(a.Counts) {
@@ -101,15 +110,33 @@ func (pl *PortableLabel) validate() error {
 			return fmt.Errorf("core: duplicate attribute %q", a.Name)
 		}
 		names[a.Name] = true
+		values := make(map[string]bool, len(a.Values))
+		for i, v := range a.Values {
+			if values[v] {
+				return fmt.Errorf("core: attribute %q has duplicate value %q", a.Name, v)
+			}
+			values[v] = true
+			if a.Counts[i] < 0 {
+				return fmt.Errorf("core: attribute %q value %q has negative count %d", a.Name, v, a.Counts[i])
+			}
+		}
 	}
+	inLabel := make(map[string]bool, len(pl.LabelAttrs))
 	for _, n := range pl.LabelAttrs {
 		if !names[n] {
 			return fmt.Errorf("core: label attribute %q not among attributes", n)
 		}
+		if inLabel[n] {
+			return fmt.Errorf("core: duplicate label attribute %q", n)
+		}
+		inLabel[n] = true
 	}
 	for _, e := range pl.PC {
 		if len(e.Values) != len(pl.LabelAttrs) {
 			return fmt.Errorf("core: pattern entry has %d values, want %d", len(e.Values), len(pl.LabelAttrs))
+		}
+		if e.Count < 0 {
+			return fmt.Errorf("core: pattern entry %q has negative count %d", e.Values, e.Count)
 		}
 	}
 	return nil
@@ -171,9 +198,11 @@ func (pl *PortableLabel) Estimate(assign map[string]string) (float64, error) {
 	sort.Strings(outside)
 	for _, name := range outside {
 		a := pl.Attrs[attrIdx[name]]
-		total, match := 0, -1
+		// The total sums in float64: an int sum of huge decoded counts
+		// could wrap negative.
+		total, match := 0.0, -1
 		for i, v := range a.Values {
-			total += a.Counts[i]
+			total += float64(a.Counts[i])
 			if v == assign[name] {
 				match = i
 			}
@@ -181,7 +210,7 @@ func (pl *PortableLabel) Estimate(assign map[string]string) (float64, error) {
 		if match < 0 || total == 0 {
 			return 0, nil
 		}
-		est *= float64(a.Counts[match]) / float64(total)
+		est *= float64(a.Counts[match]) / total
 	}
 	return est, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,14 +90,26 @@ func TestPortableEstimateErrors(t *testing.T) {
 	}
 }
 
+// probePortableLabels are documents that decoded before validation
+// covered them and then estimated wrongly: a negative total_rows (−7), a
+// negative VC count (−2), a negative PC count (−3), a duplicate value
+// within one attribute and a duplicate label attribute (21 > total_rows).
+var probePortableLabels = []string{
+	`{"total_rows":-7,"attributes":[{"name":"a","values":["x"],"counts":[1]}],"label_attributes":[],"pattern_counts":[]}`,
+	`{"total_rows":1,"attributes":[{"name":"a","values":["x","y"],"counts":[-2,3]}]}`,
+	`{"total_rows":3,"attributes":[{"name":"a","values":["x"],"counts":[3]}],"label_attributes":["a"],"pattern_counts":[{"values":["x"],"count":-3}]}`,
+	`{"total_rows":3,"attributes":[{"name":"a","values":["x","x"],"counts":[1,2]}]}`,
+	`{"total_rows":4,"attributes":[{"name":"a","values":["x","y"],"counts":[2,2]}],"label_attributes":["a","a"],"pattern_counts":[{"values":["x","y"],"count":21}]}`,
+}
+
 func TestDecodeValidation(t *testing.T) {
-	cases := []string{
+	cases := append([]string{
 		`{`, // broken JSON
 		`{"attributes":[{"name":"a","values":["x"],"counts":[1,2]}]}`,                                                                          // misaligned counts
 		`{"attributes":[{"name":"a","values":[],"counts":[]},{"name":"a","values":[],"counts":[]}]}`,                                           // duplicate attr
 		`{"attributes":[{"name":"a","values":[],"counts":[]}],"label_attributes":["zz"]}`,                                                      // unknown label attr
 		`{"attributes":[{"name":"a","values":["x"],"counts":[1]}],"label_attributes":["a"],"pattern_counts":[{"values":["x","y"],"count":1}]}`, // arity
-	}
+	}, probePortableLabels...)
 	for i, c := range cases {
 		if _, err := DecodePortableLabel([]byte(c)); err == nil {
 			t.Errorf("bad document %d accepted", i)
@@ -154,4 +167,47 @@ func TestPortableRandomPatterns(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDecodePortableLabel feeds untrusted JSON to DecodePortableLabel:
+// it must never panic, and every label it accepts must give a finite,
+// non-negative estimate for every single value and every pair of values.
+func FuzzDecodePortableLabel(f *testing.F) {
+	d := testutil.Fig2()
+	for _, names := range [][]string{{"age group", "marital status"}, {"gender"}} {
+		s, _ := lattice.FromNames(d.AttrNames(), names...)
+		data, err := BuildLabel(d, s).Portable().Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, doc := range probePortableLabels {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pl, err := DecodePortableLabel(data)
+		if err != nil {
+			return // rejected cleanly
+		}
+		check := func(assign map[string]string) {
+			est, err := pl.Estimate(assign)
+			if err != nil {
+				t.Fatalf("Estimate(%v): %v", assign, err)
+			}
+			if math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
+				t.Fatalf("Estimate(%v) = %v on an accepted label", assign, est)
+			}
+		}
+		for i, a := range pl.Attrs {
+			for _, v := range a.Values {
+				check(map[string]string{a.Name: v})
+				for _, b := range pl.Attrs[i+1:] {
+					for _, w := range b.Values {
+						check(map[string]string{a.Name: v, b.Name: w})
+					}
+				}
+			}
+		}
+	})
 }

@@ -55,7 +55,7 @@ func checkProposition32(t *testing.T, d *dataset.Dataset) {
 			pc = BuildPC(d, s)
 			pcCache[s] = pc
 		}
-		return pc.LookupVals(row)
+		return mustLookup(t, pc, row)
 	}
 
 	violations := 0

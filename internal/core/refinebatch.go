@@ -71,46 +71,25 @@ type batchAcc struct {
 // RefineSizeBatch computes LabelSize(d, S ∪ {a}, cap) for every attribute
 // in attrs in a single blocked pass over the parent's group assignment;
 // result i matches what RefineSize(d, attrs[i], cap) — and hence the
-// sequential LabelSize — reports, for every worker count.
-func (r *RefinablePC) RefineSizeBatch(d *dataset.Dataset, attrs []int, cap int, opts CountOptions) []BatchResult {
-	results, err := r.RefineSizeBatchE(d, attrs, cap, opts)
-	if err != nil {
-		panic("core: RefineSizeBatch: " + err.Error())
-	}
-	return results
-}
-
-// RefineSizeBatchE is RefineSizeBatch returning cancellation as an error:
-// ctx-arming callers use it to stop a sizing pass mid-level (see
-// RefineBatchE for the polling contract).
-func (r *RefinablePC) RefineSizeBatchE(d *dataset.Dataset, attrs []int, cap int, opts CountOptions) ([]BatchResult, error) {
+// sequential LabelSize — reports, for every worker count. Cancellation
+// follows RefineBatch's polling contract.
+func (r *RefinablePC) RefineSizeBatch(d *dataset.Dataset, attrs []int, cap int, opts CountOptions) ([]BatchResult, error) {
 	specs := make([]BatchSpec, len(attrs))
 	for i, a := range attrs {
 		specs[i] = BatchSpec{Attr: a}
 	}
-	return r.RefineBatchE(d, specs, cap, opts)
+	return r.RefineBatch(d, specs, cap, opts)
 }
 
 // RefineBatch refines the parent by every spec'd attribute at once: one
 // pass over the parent group ids, k per-child accumulators, per-child
 // exact cap-abort, sharded across opts.Workers. Specs must name distinct
-// non-member attributes. See BatchSpec for when a child materializes. If
-// an armed CountOptions.Ctx fires mid-pass it panics; ctx-arming callers
-// use RefineBatchE.
-func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int, opts CountOptions) []BatchResult {
-	results, err := r.RefineBatchE(d, specs, cap, opts)
-	if err != nil {
-		panic("core: RefineBatch: " + err.Error())
-	}
-	return results
-}
-
-// RefineBatchE is RefineBatch returning cancellation as an error: with
-// CountOptions.Ctx armed, every worker polls the context once per row
+// non-member attributes. See BatchSpec for when a child materializes.
+// With CountOptions.Ctx armed, every worker polls the context once per row
 // block; a fired context aborts the pass, returns every pooled accumulator
 // slab, and surfaces the typed context error with nil results — no
 // partially counted child escapes.
-func (r *RefinablePC) RefineBatchE(d *dataset.Dataset, specs []BatchSpec, cap int, opts CountOptions) ([]BatchResult, error) {
+func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int, opts CountOptions) ([]BatchResult, error) {
 	results := make([]BatchResult, len(specs))
 	if len(specs) == 0 {
 		return results, nil

@@ -32,7 +32,7 @@ func nonMembers(s lattice.AttrSet, n int) []int {
 func batchParents(t *testing.T, d *dataset.Dataset, s lattice.AttrSet) map[string]*RefinablePC {
 	t.Helper()
 	parents := map[string]*RefinablePC{}
-	if r := BuildRefinable(d, s); r != nil {
+	if r := BuildRefinable(d, s, nil); r != nil {
 		parents["eager"] = r
 	}
 	if r, ok := LazyRefinable(d, s); ok {
@@ -68,7 +68,10 @@ func TestDifferentialRefineSizeBatch(t *testing.T) {
 							if workers == 2 {
 								opts.Pool = pool // exercise pooled and unpooled paths
 							}
-							res := parent.RefineSizeBatch(d, attrs, cap, opts)
+							res, err := parent.RefineSizeBatch(d, attrs, cap, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
 							for j, a := range attrs {
 								wantSize, wantWithin := LabelSize(d, s.Add(a), cap)
 								if res[j].Size != wantSize || res[j].Within != wantWithin {
@@ -111,7 +114,10 @@ func TestDifferentialRefineBatchBuild(t *testing.T) {
 			for _, workers := range diffWorkerCounts {
 				opts := testCountOptions(workers)
 				opts.Pool = pool
-				singles := root.RefineBatch(d, specs, -1, opts)
+				singles, err := root.RefineBatch(d, specs, -1, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for a, res := range singles {
 					s := lattice.NewAttrSet(a)
 					want := BuildPC(d, s)
@@ -132,7 +138,10 @@ func TestDifferentialRefineBatchBuild(t *testing.T) {
 					if len(childSpecs) == 0 {
 						continue
 					}
-					pairs := res.Child.RefineBatch(d, childSpecs, -1, opts)
+					pairs, err := res.Child.RefineBatch(d, childSpecs, -1, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
 					for j, pres := range pairs {
 						ps := s.Add(childSpecs[j].Attr)
 						pwant := BuildPC(d, ps)
@@ -162,14 +171,17 @@ func TestRefineBatchByteKeyParent(t *testing.T) {
 	if k := NewKeyer(d, lattice.FullSet(4)); k.Fits() {
 		t.Fatal("expected the full set to overflow uint64 keys")
 	}
-	parent := BuildRefinable(d, parentSet)
+	parent := BuildRefinable(d, parentSet, nil)
 	if _, ok := LazyRefinable(d, parentSet); ok {
 		t.Fatal("expected the wide parent to be ineligible for the lazy form")
 	}
 	trueSize, _ := LabelSize(d, lattice.FullSet(4), -1)
 	for _, cap := range diffCaps(trueSize) {
 		for _, workers := range diffWorkerCounts {
-			res := parent.RefineSizeBatch(d, []int{3}, cap, testCountOptions(workers))
+			res, err := parent.RefineSizeBatch(d, []int{3}, cap, testCountOptions(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantSize, wantWithin := LabelSize(d, lattice.FullSet(4), cap)
 			if res[0].Size != wantSize || res[0].Within != wantWithin {
 				t.Fatalf("cap=%d workers=%d: got (%d, %v), want (%d, %v)",
@@ -191,7 +203,7 @@ func TestRefineLazyParentFallback(t *testing.T) {
 		t.Fatal("parent unexpectedly not dense-keyable")
 	}
 	// Attribute above the max member: lazy slot-keyed child.
-	child, size, within := lazy.Refine(d, 4, -1)
+	child, size, within := lazy.Refine(d, 4, -1, nil)
 	want, _ := LabelSize(d, parentSet.Add(4), -1)
 	if !within || size != want || child == nil {
 		t.Fatalf("lazy refine +4: (%d, %v, child=%v), want (%d, true, non-nil)", size, within, child != nil, want)
@@ -199,7 +211,7 @@ func TestRefineLazyParentFallback(t *testing.T) {
 	pcEqual(t, BuildPC(d, parentSet.Add(4)), child.PC(d))
 	// Attribute below the max member breaks the slot-key chain: the build
 	// falls back to a raw scan but must stay bit-identical.
-	child0, size0, within0 := lazy.Refine(d, 0, -1)
+	child0, size0, within0 := lazy.Refine(d, 0, -1, nil)
 	want0, _ := LabelSize(d, parentSet.Add(0), -1)
 	if !within0 || size0 != want0 || child0 == nil {
 		t.Fatalf("lazy refine +0: (%d, %v, child=%v), want (%d, true, non-nil)", size0, within0, child0 != nil, want0)
@@ -212,7 +224,7 @@ func TestRefineLazyParentFallback(t *testing.T) {
 	}
 	pcEqual(t, BuildPC(d, parentSet.Add(2)), pc)
 	// Cap abort on the lazy path keeps the LabelSize contract.
-	if size, within := lazy.RefineSize(d, 4, 0); within || size != 1 {
+	if size, within := lazy.RefineSize(d, 4, 0, nil); within || size != 1 {
 		t.Fatalf("lazy RefineSize cap=0: (%d, %v), want (1, false)", size, within)
 	}
 }
@@ -221,7 +233,7 @@ func TestRefineLazyParentFallback(t *testing.T) {
 // and duplicate attributes are rejected.
 func TestRefineBatchPanics(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 60, attrs: 3, domain: 3, nullRate: 0}, 5)
-	r := BuildRefinable(d, lattice.NewAttrSet(0))
+	r := BuildRefinable(d, lattice.NewAttrSet(0), nil)
 	for name, attrs := range map[string][]int{
 		"member":    {0},
 		"duplicate": {1, 1},

@@ -22,10 +22,11 @@ type RenderOptions struct {
 
 // Render produces the human-readable "nutrition label" of Fig 1: total data
 // size, the per-attribute value counts with percentages, the pattern counts
-// of the label's attribute set, and optionally an error summary.
+// of the label's attribute set, and optionally an error summary. A failed
+// run read on a merge-on-read PC section panics, as Count does.
 func Render(l *Label, opts RenderOptions) string {
 	d := l.Dataset()
-	total := d.NumRows()
+	total := l.rows
 	var b strings.Builder
 	fmt.Fprintf(&b, "Total size: %s\n\n", groupDigits(total))
 
@@ -72,14 +73,16 @@ func Render(l *Label, opts RenderOptions) string {
 		count int
 	}
 	rows := make([]row, 0, l.Size())
-	l.pc.Each(d.NumAttrs(), func(vals []uint16, c int) bool {
+	if err := l.pc.EachCtx(nil, d.NumAttrs(), func(vals []uint16, c int) bool {
 		r := row{count: c}
 		for _, i := range l.attrs.Members() {
 			r.vals = append(r.vals, d.Attr(i).Value(vals[i]))
 		}
 		rows = append(rows, r)
 		return true
-	})
+	}); err != nil {
+		panic(err.Error())
+	}
 	sort.Slice(rows, func(x, y int) bool {
 		if rows[x].count != rows[y].count {
 			return rows[x].count > rows[y].count

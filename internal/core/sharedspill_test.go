@@ -2,8 +2,8 @@ package core
 
 // Differential coverage for the spill partitioner: a frontier's spilled
 // sets must size bit-identically through its one partition pass (one
-// dataset scan, spill.MultiWriter), through budgeted single-set
-// LabelSizeParallelE calls (one one-target pass each) and through the
+// dataset scan, spill.MultiWriter), through budgeted one-set
+// LabelSizesFused calls (one one-target pass each) and through the
 // sequential LabelSize oracle — for every worker count, across the cap
 // grid, for byte and uint64 record formats, for frontiers mixing both with
 // in-memory sets and for a frontier whose pass has a single target. The
@@ -35,7 +35,7 @@ func sharedSpillCaps(d *dataset.Dataset, sets []lattice.AttrSet) []int {
 }
 
 // runSharedSpillDifferential sizes the frontier whole (LabelSizesFused)
-// and set by set (budgeted LabelSizeParallelE) across the worker and cap
+// and set by set (budgeted one-set LabelSizesFused) across the worker and cap
 // grids, comparing every result to the sequential oracle and asserting the
 // pass accounting. wantSpilled is the number of frontier sets the spill
 // plan must route to disk; a pass counts as shared only when it serves two
@@ -73,14 +73,14 @@ func runSharedSpillDifferential(t *testing.T, d *dataset.Dataset, sets []lattice
 				within := make([]bool, len(sets))
 				if single {
 					for i, s := range sets {
-						sz, w, err := LabelSizeParallelE(d, s, cap, opts)
+						sz, w, err := LabelSizesFused(d, []lattice.AttrSet{s}, cap, opts)
 						if err != nil {
 							t.Fatalf("workers=%d cap=%d set %v: %v", workers, cap, s, err)
 						}
-						sizes[i], within[i] = sz, w
+						sizes[i], within[i] = sz[0], w[0]
 					}
 				} else {
-					sizes, within = LabelSizesFused(d, sets, cap, opts)
+					sizes, within = mustLabelSizes(t, d, sets, cap, opts)
 				}
 				for i := range sets {
 					want := oracle[cap][i]
@@ -156,7 +156,7 @@ func TestDifferentialSharedSpillU64Frontier(t *testing.T) {
 	opts.MemBudget = budget
 	opts.SpillDir = t.TempDir()
 	opts.Stats = &stats
-	if _, _ = LabelSizesFused(d, sets, -1, opts); stats.SpilledU64 != stats.Spilled {
+	if _, _ = mustLabelSizes(t, d, sets, -1, opts); stats.SpilledU64 != stats.Spilled {
 		t.Fatalf("frontier not pure uint64: %d of %d spilled sets", stats.SpilledU64, stats.Spilled)
 	}
 	runSharedSpillDifferential(t, d, sets, budget, len(sets), false)

@@ -30,8 +30,9 @@ import (
 // Builds are budget-bounded end to end: when the counted result itself
 // models within the budget it is materialized as an ordinary in-memory PC,
 // and otherwise the PC keeps the on-disk runs and serves
-// Size/LookupVals/Each by streaming them (merge-on-read, spilledpc.go) —
-// the scan's careful budget is no longer blown by the result map.
+// Size/LookupValsCtx/EachCtx by streaming them (merge-on-read,
+// spilledpc.go) — the scan's careful budget is no longer blown by the
+// result map.
 // Refinement (pccache.go, refinebatch.go) never spills: its compact spaces
 // are bounded by an in-bound parent's group count times one domain, so it
 // is in-memory by construction.
@@ -207,7 +208,11 @@ func (st *ScanStats) addSharedSpillPass(n int) {
 // context error (the fallback scan itself honors CountOptions.Ctx).
 func labelSizeFallback(d *dataset.Dataset, s lattice.AttrSet, cap int, opts CountOptions) (size int, within bool, err error) {
 	opts.MemBudget = 0
-	return LabelSizeParallelE(d, s, cap, opts)
+	sizes, w, err := LabelSizesFused(d, []lattice.AttrSet{s}, cap, opts)
+	if err != nil {
+		return 0, false, err
+	}
+	return sizes[0], w[0], nil
 }
 
 // countMerge folds the runs of a build-mode spill scan: runs merge into

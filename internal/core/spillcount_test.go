@@ -8,7 +8,8 @@ package core
 // on any exit path. Budgeted builds whose result models over the budget
 // come back merge-on-read (spilledpc.go): those are additionally pinned
 // against the in-memory oracle through the whole consumer surface
-// (Size/LookupVals/Each/Marginalize) and release their runs on demand.
+// (Size/LookupValsCtx/EachCtx/MarginalizeCtx) and release their runs on
+// demand.
 
 import (
 	"math/rand/v2"
@@ -74,7 +75,7 @@ func assertNoSpillFiles(t *testing.T, dir string) {
 }
 
 // pcEqualContents compares two pattern-count indexes entry by entry via
-// Each, without constraining the storage representation — the comparator
+// EachCtx, without constraining the storage representation — the comparator
 // for budgeted builds, whose representation (materialized vs merge-on-read
 // spilled) legitimately differs from the unbudgeted oracle's.
 func pcEqualContents(t *testing.T, want, got *PC) {
@@ -116,7 +117,7 @@ func TestDifferentialSpillBuildPC(t *testing.T) {
 				opts.MemBudget = budget
 				opts.SpillDir = dir
 				opts.Stats = &stats
-				got := BuildPCParallel(d, s, opts)
+				got := mustBuildPC(t, d, s, opts)
 				pcEqualContents(t, want, got)
 				if stats.Spilled != 1 {
 					t.Fatalf("workers=%d: Spilled = %d, want 1", workers, stats.Spilled)
@@ -166,7 +167,7 @@ func TestDifferentialSpillLabelSize(t *testing.T) {
 					opts := testCountOptions(workers)
 					opts.MemBudget = budget
 					opts.SpillDir = dir
-					gotSize, gotWithin := LabelSizeParallel(d, s, cap, opts)
+					gotSize, gotWithin := mustLabelSize(t, d, s, cap, opts)
 					if gotSize != wantSize || gotWithin != wantWithin {
 						t.Fatalf("workers=%d cap=%d: got (%d, %v), want (%d, %v)",
 							workers, cap, gotSize, gotWithin, wantSize, wantWithin)
@@ -201,7 +202,7 @@ func TestDifferentialSpillFused(t *testing.T) {
 			opts.MemBudget = budget
 			opts.SpillDir = dir
 			opts.Stats = &stats
-			sizes, within := LabelSizesFused(d, sets, cap, opts)
+			sizes, within := mustLabelSizes(t, d, sets, cap, opts)
 			for i := range sets {
 				if sizes[i] != wantSizes[i] || within[i] != wantWithin[i] {
 					t.Fatalf("cap=%d workers=%d set %v: got (%d, %v), want (%d, %v)",
@@ -236,7 +237,7 @@ func TestSpillU64Format(t *testing.T) {
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = t.TempDir()
 	opts.Stats = &stats
-	got := BuildPCParallel(d, s, opts)
+	got := mustBuildPC(t, d, s, opts)
 	pcEqualContents(t, want, got)
 	if stats.Spilled != 1 || stats.SpilledU64 != 1 {
 		t.Fatalf("Spilled=%d SpilledU64=%d, want 1/1", stats.Spilled, stats.SpilledU64)
@@ -265,7 +266,7 @@ func TestSpillNeverDense(t *testing.T) {
 	opts.MemBudget = 1 // absurdly small
 	opts.Stats = &stats
 	want := BuildPC(d, s)
-	got := BuildPCParallel(d, s, opts)
+	got := mustBuildPC(t, d, s, opts)
 	pcEqual(t, want, got)
 	if stats.Spilled != 0 {
 		t.Fatalf("dense-keyable set spilled %d times", stats.Spilled)
@@ -346,10 +347,11 @@ func TestSpillRunBudgetModel(t *testing.T) {
 	}
 	var stats ScanStats
 	opts := CountOptions{Workers: 1, MemBudget: budget, SpillDir: dir, Stats: &stats}
-	size, within, err := LabelSizeParallelE(d, s, -1, opts)
-	if err != nil || !within {
+	sizes, within, err := LabelSizesFused(d, []lattice.AttrSet{s}, -1, opts)
+	if err != nil || !within[0] {
 		t.Fatalf("spill sizing failed: err=%v within=%v", err, within)
 	}
+	size := sizes[0]
 	if stats.Spilled != 1 || stats.SpillRuns != int64(runs) {
 		t.Fatalf("spilled %d sets into %d runs, want 1 set into %d runs", stats.Spilled, stats.SpillRuns, runs)
 	}
@@ -383,7 +385,7 @@ func TestSpillMaterializeDecision(t *testing.T) {
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = dir
 	opts.Stats = &stats
-	got := BuildPCParallel(d, s, opts)
+	got := mustBuildPC(t, d, s, opts)
 	if stats.Spilled != 1 {
 		t.Fatalf("scan did not spill (Spilled=%d)", stats.Spilled)
 	}
@@ -427,9 +429,9 @@ func dupDataset(t *testing.T, cfg diffConfig, distinct int, seed uint64) *datase
 }
 
 // TestSpilledPCConsumerSurface pins the merge-on-read representation
-// against the oracle through every consumer path: Size, LookupVals of
-// every present pattern, LookupVals of absent and NULL-bearing patterns,
-// Each early stop, and concurrent lookups from many goroutines.
+// against the oracle through every consumer path: Size, LookupValsCtx of
+// every present pattern, LookupValsCtx of absent and NULL-bearing patterns,
+// EachCtx early stop, and concurrent lookups from many goroutines.
 func TestSpilledPCConsumerSurface(t *testing.T) {
 	cfg := diffConfig{rows: 3000, attrs: 4, domain: 65000, nullRate: 0.1}
 	d := diffDataset(t, cfg, 0x5B)
@@ -438,7 +440,7 @@ func TestSpilledPCConsumerSurface(t *testing.T) {
 	opts := testCountOptions(2)
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = t.TempDir()
-	got := BuildPCParallel(d, s, opts)
+	got := mustBuildPC(t, d, s, opts)
 	if !got.Spilled() {
 		t.Fatalf("near-distinct build did not stay merge-on-read")
 	}
@@ -450,9 +452,9 @@ func TestSpilledPCConsumerSurface(t *testing.T) {
 	n := d.NumAttrs()
 	// Every stored pattern looks up identically (also exercises the pinned
 	// hot-run cache on repeated probes of the same runs).
-	want.Each(n, func(vals []uint16, c int) bool {
-		if g := got.LookupVals(vals); g != c {
-			t.Fatalf("LookupVals(%v) = %d, want %d", vals, g, c)
+	mustEach(t, want, n, func(vals []uint16, c int) bool {
+		if g := mustLookup(t, got, vals); g != c {
+			t.Fatalf("LookupValsCtx(%v) = %d, want %d", vals, g, c)
 		}
 		return true
 	})
@@ -461,33 +463,33 @@ func TestSpilledPCConsumerSurface(t *testing.T) {
 	for a := range absent {
 		absent[a] = uint16(d.Attr(a).DomainSize()) // valid ids, unlikely combo
 	}
-	if want.LookupVals(absent) == 0 && got.LookupVals(absent) != 0 {
-		t.Fatalf("absent pattern returned %d", got.LookupVals(absent))
+	if mustLookup(t, want, absent) == 0 && mustLookup(t, got, absent) != 0 {
+		t.Fatalf("absent pattern returned %d", mustLookup(t, got, absent))
 	}
 	withNull := make([]uint16, n)
 	withNull[0] = dataset.Null
-	if got.LookupVals(withNull) != 0 {
-		t.Fatalf("NULL-bearing pattern returned %d", got.LookupVals(withNull))
+	if mustLookup(t, got, withNull) != 0 {
+		t.Fatalf("NULL-bearing pattern returned %d", mustLookup(t, got, withNull))
 	}
-	// Each with early stop.
+	// EachCtx with early stop.
 	seen := 0
-	got.Each(n, func(vals []uint16, c int) bool {
+	mustEach(t, got, n, func(vals []uint16, c int) bool {
 		seen++
 		return seen < 10
 	})
 	if seen != 10 {
-		t.Fatalf("Each early stop visited %d patterns, want 10", seen)
+		t.Fatalf("EachCtx early stop visited %d patterns, want 10", seen)
 	}
 	// Concurrent lookups (the evaluation phase probes labels from worker
 	// goroutines); run under -race in CI.
-	rows := pcDumpRows(want, n)
+	rows := pcDumpRows(t, want, n)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < len(rows); i += 4 {
-				if got.LookupVals(rows[i].vals) != rows[i].count {
+				if c, err := got.LookupValsCtx(nil, rows[i].vals); err != nil || c != rows[i].count {
 					panic("concurrent lookup mismatch")
 				}
 			}
@@ -502,9 +504,9 @@ type pcRow struct {
 	count int
 }
 
-func pcDumpRows(pc *PC, n int) []pcRow {
+func pcDumpRows(t testing.TB, pc *PC, n int) []pcRow {
 	var rows []pcRow
-	pc.Each(n, func(vals []uint16, c int) bool {
+	mustEach(t, pc, n, func(vals []uint16, c int) bool {
 		v := make([]uint16, n)
 		copy(v, vals)
 		rows = append(rows, pcRow{v, c})
@@ -520,11 +522,11 @@ func TestMarginalizeFromSpilledPC(t *testing.T) {
 	opts := testCountOptions(1)
 	opts.MemBudget = spillBudgetFor(d, s, 4)
 	opts.SpillDir = t.TempDir()
-	spilled := BuildPCParallel(d, s, opts)
+	spilled := mustBuildPC(t, d, s, opts)
 	defer spilled.ReleaseSpill()
 	sub := lattice.NewAttrSet(0, 2)
-	want := BuildPC(d, s).Marginalize(d, sub)
-	got := spilled.Marginalize(d, sub)
+	want := mustMarginalize(t, BuildPC(d, s), d, sub)
+	got := mustMarginalize(t, spilled, d, sub)
 	pcEqual(t, want, got)
 }
 
@@ -547,7 +549,7 @@ func TestSpillStatsRaceSafe(t *testing.T) {
 			opts := testCountOptions(2)
 			opts.MemBudget = budget
 			opts.Stats = &stats
-			if size, _ := LabelSizeParallel(d, s, -1, opts); size != exact {
+			if sizes, _, err := LabelSizesFused(d, []lattice.AttrSet{s}, -1, opts); err != nil || sizes[0] != exact {
 				panic("concurrent spilled sizing mismatch")
 			}
 		}()

@@ -14,9 +14,10 @@ import (
 // spilledPC is the merge-on-read PC representation: a pattern-count index
 // whose merged map modeled over CountOptions.MemBudget, so instead of
 // materializing it the index retains its on-disk spill runs and serves the
-// PC consumer surface (Size / LookupVals / Each) by streaming them. Size
-// is precomputed during the build's count pass; Each streams one run's map
-// at a time; LookupVals routes a key to the single run that can hold it
+// PC consumer surface (Size / LookupValsCtx / EachCtx) by streaming them.
+// Size is precomputed during the build's count pass; EachCtx streams one
+// run's map at a time; LookupValsCtx routes a key to the single run that
+// can hold it
 // (the same hash partition every occurrence took) and consults that run's
 // map.
 //
@@ -47,15 +48,14 @@ import (
 //
 // Run reads can fail — an I/O error, or a checksum mismatch on a corrupted
 // frame — and a failed read must never become a wrong count: the internal
-// read paths return errors (lookupValsE / eachE), with one bounded retry
+// read paths return errors (lookupVals / each), with one bounded retry
 // per load so a transient fault recovers invisibly. Every failed attempt
 // and every retry is metered (SpillReadStats, and ScanStats when one is
-// attached). The legacy panic behaviour survives only in the non-E
-// wrappers on PC, for deep callers that cannot degrade.
+// attached).
 //
-// No lock is held while user callbacks run: Each fetches each run's map
-// and then iterates it lock-free, so the callback may freely probe the
-// same PC (Marginalize does exactly that via Each + LookupVals).
+// No lock is held while user callbacks run: EachCtx fetches each run's
+// map and then iterates it lock-free, so the callback may freely probe the
+// same PC.
 //
 // The on-disk runs live until ReleaseSpill is called; a GC cleanup is
 // attached as a safety net so an unreferenced spilled PC still removes its
@@ -379,12 +379,12 @@ func (sp *spilledPC) readStats() SpillReadStats {
 	}
 }
 
-// lookupValsE implements PC.LookupValsE for the spilled representation.
+// lookupVals implements PC.LookupValsCtx for the spilled representation.
 // Safe for any number of concurrent callers; hits on pinned runs are
 // lock-free. A failed run read returns an error, never a wrong count. ctx
 // (nil when unarmed) cancels a miss's run-file load; a fired context
 // surfaces as the typed context error.
-func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error) {
+func (sp *spilledPC) lookupVals(ctx context.Context, vals []uint16) (int, error) {
 	if sp.u64 {
 		key, ok := sp.keyer.KeyVals(vals)
 		if !ok {
@@ -408,16 +408,16 @@ func (sp *spilledPC) lookupValsE(ctx context.Context, vals []uint16) (int, error
 	return m[string(b)], nil
 }
 
-// eachE implements PC.EachE for the spilled representation: runs stream
+// each implements PC.EachCtx for the spilled representation: runs stream
 // one at a time, pinned runs straight from the cache and the rest through
 // freshly loaded maps that pass through the floating slot, so live
 // iteration memory stays one non-pinned run map. No lock is held while fn
 // runs — the run maps are immutable once fetched — so fn may re-enter this
-// PC (LookupVals, Each, Marginalize) freely. A failed run read aborts the
+// PC (LookupValsCtx, EachCtx, MarginalizeCtx) freely. A failed run read aborts the
 // iteration with the error; fn has then seen a prefix of the entries. ctx
 // (nil when unarmed) is consulted at run boundaries and inside each run's
 // file scan, so abandoning a long streaming iteration stops promptly.
-func (sp *spilledPC) eachE(ctx context.Context, n int, fn func(vals []uint16, count int) bool) error {
+func (sp *spilledPC) each(ctx context.Context, n int, fn func(vals []uint16, count int) bool) error {
 	sp.checkLive()
 	vals := make([]uint16, n)
 	if sp.u64 {

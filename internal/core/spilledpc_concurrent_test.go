@@ -1,12 +1,13 @@
 package core
 
 // Concurrency tests for the merge-on-read spilled PC: the read surface
-// (LookupVals / Each / Marginalize) must serve many goroutines at once,
-// bit-identical to the in-memory oracle, for both record formats; Each
-// must tolerate callbacks that re-enter the same PC (the pre-rework code
-// held a global mutex across the callback and deadlocked); and a lookup
-// racing ReleaseSpill must surface only the documented panic, never a raw
-// file-read error. CI runs this package under -race at GOMAXPROCS 1 and 4.
+// (LookupValsCtx / EachCtx / MarginalizeCtx) must serve many goroutines at
+// once, bit-identical to the in-memory oracle, for both record formats;
+// EachCtx must tolerate callbacks that re-enter the same PC (the
+// pre-rework code held a global mutex across the callback and
+// deadlocked); and a lookup racing ReleaseSpill must surface only the
+// documented panic, never a raw file-read error. CI runs this package
+// under -race at GOMAXPROCS 1 and 4.
 
 import (
 	"fmt"
@@ -36,7 +37,7 @@ func buildSpilledWithOracle(t *testing.T, cfg diffConfig, seed uint64, minRuns i
 	opts := testCountOptions(2)
 	opts.MemBudget = spillBudgetFor(d, s, minRuns)
 	opts.SpillDir = t.TempDir()
-	spilled = BuildPCParallel(d, s, opts)
+	spilled = mustBuildPC(t, d, s, opts)
 	if !spilled.Spilled() {
 		t.Fatalf("budgeted build did not stay merge-on-read (size %d, budget %d)", oracle.Size(), opts.MemBudget)
 	}
@@ -73,11 +74,11 @@ func TestSpilledPCConcurrentReads(t *testing.T) {
 			probes := probeRows(d, 256, uint64(ci)+0x62)
 			want := make([]int, len(probes))
 			for i, p := range probes {
-				want[i] = oracle.LookupVals(p)
+				want[i] = mustLookup(t, oracle, p)
 			}
 			wantDump := pcDump(oracle)
 			sub := lattice.FullSet(2)
-			wantMarg := pcDump(oracle.Marginalize(d, sub))
+			wantMarg := pcDump(mustMarginalize(t, oracle, d, sub))
 
 			const readers = 16
 			var wg sync.WaitGroup
@@ -90,8 +91,8 @@ func TestSpilledPCConcurrentReads(t *testing.T) {
 					case 0: // point lookups
 						for rep := 0; rep < 3; rep++ {
 							for i, p := range probes {
-								if got := spilled.LookupVals(p); got != want[i] {
-									errs <- fmt.Errorf("reader %d: probe %d: got %d, want %d", g, i, got, want[i])
+								if got, err := spilled.LookupValsCtx(nil, p); err != nil || got != want[i] {
+									errs <- fmt.Errorf("reader %d: probe %d: got (%d, %v), want %d", g, i, got, err, want[i])
 									return
 								}
 							}
@@ -99,7 +100,7 @@ func TestSpilledPCConcurrentReads(t *testing.T) {
 					case 1: // full scans
 						got := pcDump(spilled)
 						if len(got) != len(wantDump) {
-							errs <- fmt.Errorf("reader %d: Each saw %d patterns, want %d", g, len(got), len(wantDump))
+							errs <- fmt.Errorf("reader %d: EachCtx saw %d patterns, want %d", g, len(got), len(wantDump))
 							return
 						}
 						for k, c := range wantDump {
@@ -108,8 +109,13 @@ func TestSpilledPCConcurrentReads(t *testing.T) {
 								return
 							}
 						}
-					case 2: // marginals (Each + aggregation, re-entrant by design)
-						got := pcDump(spilled.Marginalize(d, sub))
+					case 2: // marginals (EachCtx + aggregation, re-entrant by design)
+						m, err := spilled.MarginalizeCtx(nil, d, sub)
+						if err != nil {
+							errs <- fmt.Errorf("reader %d: marginal: %v", g, err)
+							return
+						}
+						got := pcDump(m)
 						for k, c := range wantMarg {
 							if got[k] != c {
 								errs <- fmt.Errorf("reader %d: marginal %q: got %d, want %d", g, k, got[k], c)
@@ -154,7 +160,7 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 	opts := testCountOptions(2)
 	opts.MemBudget = int64(oracle.Size())*entry - 1
 	opts.SpillDir = t.TempDir()
-	spilled := BuildPCParallel(d, s, opts)
+	spilled := mustBuildPC(t, d, s, opts)
 	if !spilled.Spilled() {
 		t.Fatalf("budgeted build did not stay merge-on-read (size %d, budget %d)", oracle.Size(), opts.MemBudget)
 	}
@@ -163,11 +169,11 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 	probes := probeRows(d, 256, 0x64)
 	want := make([]int, len(probes))
 	for i, p := range probes {
-		want[i] = oracle.LookupVals(p)
+		want[i] = mustLookup(t, oracle, p)
 	}
 	// Warm every run once so subsequent lookups hit the pinned cache.
 	for i, p := range probes {
-		if got := spilled.LookupVals(p); got != want[i] {
+		if got := mustLookup(t, spilled, p); got != want[i] {
 			t.Fatalf("warm probe %d: got %d, want %d", i, got, want[i])
 		}
 	}
@@ -179,8 +185,8 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, p := range probes {
-				if got := spilled.LookupVals(p); got != want[i] {
-					t.Errorf("probe %d: got %d, want %d", i, got, want[i])
+				if got, err := spilled.LookupValsCtx(nil, p); err != nil || got != want[i] {
+					t.Errorf("probe %d: got (%d, %v), want %d", i, got, err, want[i])
 					return
 				}
 			}
@@ -195,9 +201,9 @@ func TestSpilledPCPinnedLockFreeIdentity(t *testing.T) {
 }
 
 // TestSpilledPCEachReentrantProbe is the deadlock regression for the
-// documented contract that Each's callback may probe the same PC: the
+// documented contract that EachCtx's callback may probe the same PC: the
 // pre-rework implementation held one global mutex across the callback, so
-// a LookupVals (or Marginalize) from inside fn self-deadlocked.
+// a LookupValsCtx (or MarginalizeCtx) from inside fn self-deadlocked.
 func TestSpilledPCEachReentrantProbe(t *testing.T) {
 	for ci, cfg := range spillConcurrencyConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
@@ -209,28 +215,32 @@ func TestSpilledPCEachReentrantProbe(t *testing.T) {
 				defer close(done)
 				n := d.NumAttrs()
 				first := true
-				spilled.Each(n, func(vals []uint16, count int) bool {
+				if err := spilled.EachCtx(nil, n, func(vals []uint16, count int) bool {
 					// Re-entrant point probe: the emitted pattern must look
 					// itself up with the emitted count.
-					if got := spilled.LookupVals(vals); got != count {
-						t.Errorf("re-entrant lookup: got %d, want %d", got, count)
+					if got, err := spilled.LookupValsCtx(nil, vals); err != nil || got != count {
+						t.Errorf("re-entrant lookup: got (%d, %v), want %d", got, err, count)
 						return false
 					}
 					if first {
 						first = false
-						// Full re-entrant scan: Marginalize drives Each over
-						// this same PC from inside the outer Each.
-						if m := spilled.Marginalize(d, lattice.FullSet(2)); m.Size() == 0 {
-							t.Error("re-entrant Marginalize returned an empty PC")
+						// Full re-entrant scan: MarginalizeCtx drives EachCtx
+						// over this same PC from inside the outer EachCtx.
+						if m, err := spilled.MarginalizeCtx(nil, d, lattice.FullSet(2)); err != nil {
+							t.Errorf("re-entrant MarginalizeCtx: %v", err)
+						} else if m.Size() == 0 {
+							t.Error("re-entrant MarginalizeCtx returned an empty PC")
 						}
 					}
 					return true
-				})
+				}); err != nil {
+					t.Errorf("EachCtx: %v", err)
+				}
 			}()
 			select {
 			case <-done:
 			case <-time.After(60 * time.Second):
-				t.Fatal("Each with a re-entrant callback deadlocked")
+				t.Fatal("EachCtx with a re-entrant callback deadlocked")
 			}
 		})
 	}
@@ -261,7 +271,11 @@ func TestSpilledPCReleaseLookupRace(t *testing.T) {
 					started <- struct{}{}
 					for {
 						for _, p := range probes {
-							spilled.LookupVals(p)
+							// A raw read error would be a contract breach:
+							// surface it as a panic the check below rejects.
+							if _, err := spilled.LookupValsCtx(nil, p); err != nil {
+								panic(err.Error())
+							}
 						}
 					}
 				}(g)

@@ -219,7 +219,7 @@ func sizeFrontier(d *dataset.Dataset, sets []lattice.AttrSet, opts Options, stat
 		if hi > len(sets) {
 			hi = len(sets)
 		}
-		_, within, err := core.LabelSizesFusedE(d, sets[lo:hi], opts.Bound, co)
+		_, within, err := core.LabelSizesFused(d, sets[lo:hi], opts.Bound, co)
 		if err != nil {
 			return err
 		}
@@ -346,14 +346,14 @@ func newLevelSizer(d *dataset.Dataset, opts Options, stats *Stats) *levelSizer {
 	if len(eager) == 0 {
 		return z
 	}
-	root := core.BuildRefinablePooled(d, lattice.AttrSet(0), z.pool)
+	root := core.BuildRefinable(d, lattice.AttrSet(0), z.pool)
 	if root == nil {
 		return z // dataset too large for group vectors: scan-only eager tier
 	}
 	z.ensureCache()
 	singles := make([]*core.RefinablePC, len(eager))
 	workpool.Do(len(eager), opts.Workers, func(i int) {
-		singles[i], _, _ = root.RefinePooled(d, eager[i], -1, z.pool)
+		singles[i], _, _ = root.Refine(d, eager[i], -1, z.pool)
 	})
 	for _, r := range singles {
 		if !z.cache.Put(r) {
@@ -448,7 +448,7 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	co := core.CountOptions{Workers: z.opts.Workers, DenseLimit: z.opts.DenseLimit, Stats: &z.scan, Pool: z.pool, MemBudget: z.opts.MemBudget, SpillDir: z.opts.SpillDir, FS: z.opts.FS, Ctx: z.opts.Ctx}
 	for lo := 0; lo < len(z.scanSets); lo += fusedBatch {
 		hi := min(lo+fusedBatch, len(z.scanSets))
-		sizes, within, err := core.LabelSizesFusedE(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
+		sizes, within, err := core.LabelSizesFused(z.d, z.scanSets[lo:hi], z.opts.Bound, co)
 		if err != nil {
 			return err
 		}
@@ -518,7 +518,7 @@ func (z *levelSizer) runBatches(sets []lattice.AttrSet) error {
 		b := &z.batches[bi]
 		attrs := z.batchAttrs[b.lo:b.hi]
 		co := core.CountOptions{Workers: inner, Pool: z.pool, Ctx: z.opts.Ctx}
-		res, err := b.parent.RefineSizeBatchE(z.d, attrs, z.opts.Bound, co)
+		res, err := b.parent.RefineSizeBatch(z.d, attrs, z.opts.Bound, co)
 		if err != nil {
 			errs[bi] = err
 			return
@@ -563,7 +563,7 @@ func (z *levelSizer) runBatches(sets []lattice.AttrSet) error {
 			if err := ctxErr(z.opts.Ctx); err != nil {
 				return err
 			}
-			if child := core.BuildRefinablePooled(z.d, s, z.pool); child != nil && !z.cache.Put(child) {
+			if child := core.BuildRefinable(z.d, s, z.pool); child != nil && !z.cache.Put(child) {
 				child.Release(z.pool)
 			}
 		}
@@ -611,11 +611,11 @@ func (z *levelSizer) runTasks(sets []lattice.AttrSet) error {
 			t := &chunk[ti]
 			s := sets[t.idx]
 			if ti < buildAllowance && s.Size() < z.n {
-				child, size, within := t.parent.RefinePooled(z.d, t.attr, z.opts.Bound, z.pool)
+				child, size, within := t.parent.Refine(z.d, t.attr, z.opts.Bound, z.pool)
 				t.child = child
 				z.results[t.idx] = sizeResult{size, within}
 			} else {
-				size, within := t.parent.RefineSizePooled(z.d, t.attr, z.opts.Bound, z.pool)
+				size, within := t.parent.RefineSize(z.d, t.attr, z.opts.Bound, z.pool)
 				z.results[t.idx] = sizeResult{size, within}
 			}
 		})
@@ -949,7 +949,7 @@ func EvaluateSets(d *dataset.Dataset, ps *core.PatternSet, sets []lattice.AttrSe
 	out := make([]Result, len(sets))
 	co := core.CountOptions{Workers: opts.Workers, DenseLimit: opts.DenseLimit, MemBudget: opts.MemBudget, SpillDir: opts.SpillDir, FS: opts.FS}
 	for i, s := range sets {
-		l := core.BuildLabelOpts(d, s, co)
+		l, _ := core.BuildLabelOptsCtx(nil, d, s, co) // co arms no Ctx, so the build cannot fail
 		maxErr, scanned := core.MaxAbsError(l, ps, core.MaxErrOptions{Sorted: opts.FastEval, Workers: opts.Workers})
 		out[i] = Result{
 			Attrs:  s,

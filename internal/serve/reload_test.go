@@ -40,7 +40,7 @@ func newReloadFixture(t *testing.T) *reloadFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := core.BuildLabelOpts(base, lattice.FullSet(3), core.CountOptions{})
+	l := mustBuildLabel(t, base, lattice.FullSet(3), core.CountOptions{})
 	dir := t.TempDir() + "/artifact"
 	if err := artifact.Save(l, dir); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func (f *reloadFixture) advance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl := core.BuildLabelOpts(delta, lattice.FullSet(3), core.CountOptions{})
+	dl := mustBuildLabel(t, delta, lattice.FullSet(3), core.CountOptions{})
 	if _, err := artifact.MergeInto(f.dir, dl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +107,8 @@ func TestServeReload(t *testing.T) {
 	if got := f.labelEpoch(t); got != 1 {
 		t.Fatalf("initial epoch = %d, want 1", got)
 	}
-	oldOracle := core.BuildLabelOpts(mustSlice(t, f.full, 0, 1500), lattice.FullSet(3), core.CountOptions{})
-	newOracle := core.BuildLabelOpts(f.full, lattice.FullSet(3), core.CountOptions{})
+	oldOracle := mustBuildLabel(t, mustSlice(t, f.full, 0, 1500), lattice.FullSet(3), core.CountOptions{})
+	newOracle := mustBuildLabel(t, f.full, lattice.FullSet(3), core.CountOptions{})
 	wantOld := oracleCount(t, oldOracle, expr)
 	wantNew := oracleCount(t, newOracle, expr)
 	if wantOld == wantNew {
@@ -189,7 +189,7 @@ func TestServeReload(t *testing.T) {
 // POST /v1/reload must answer 501, not crash.
 func TestServeReloadNotConfigured(t *testing.T) {
 	d := testDataset(t, 200, 3, 4, 0xE20)
-	l := core.BuildLabelOpts(d, lattice.FullSet(3), core.CountOptions{})
+	l := mustBuildLabel(t, d, lattice.FullSet(3), core.CountOptions{})
 	ts := httptest.NewServer(NewHandler(l))
 	defer ts.Close()
 	resp, err := ts.Client().Post(ts.URL+"/v1/reload", "application/json", nil)
@@ -208,8 +208,8 @@ func TestServeReloadNotConfigured(t *testing.T) {
 func TestServeReloadConcurrent(t *testing.T) {
 	f := newReloadFixture(t)
 	expr := exprFor(f.full, 0, 2)
-	oldOracle := core.BuildLabelOpts(mustSlice(t, f.full, 0, 1500), lattice.FullSet(3), core.CountOptions{})
-	newOracle := core.BuildLabelOpts(f.full, lattice.FullSet(3), core.CountOptions{})
+	oldOracle := mustBuildLabel(t, mustSlice(t, f.full, 0, 1500), lattice.FullSet(3), core.CountOptions{})
+	newOracle := mustBuildLabel(t, f.full, lattice.FullSet(3), core.CountOptions{})
 	wantOld := oracleCount(t, oldOracle, expr)
 	wantNew := oracleCount(t, newOracle, expr)
 	f.advance(t)

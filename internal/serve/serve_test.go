@@ -87,7 +87,7 @@ func exprFor(d *dataset.Dataset, r, k int) string {
 func openServedLabel(t *testing.T, d *dataset.Dataset) (inproc, reopened *core.Label, ts *httptest.Server) {
 	t.Helper()
 	s := lattice.FullSet(3)
-	inproc = core.BuildLabelOpts(d, s, core.CountOptions{
+	inproc = mustBuildLabel(t, d, s, core.CountOptions{
 		MemBudget: 16 << 10, SpillDir: t.TempDir(),
 	})
 	if !inproc.PC().Spilled() {
@@ -165,7 +165,10 @@ func TestServeIdentity(t *testing.T) {
 	if code := getJSON(t, c, ts.URL+"/v1/marginal?attrs=a0,a1", &mr); code != http.StatusOK {
 		t.Fatalf("/v1/marginal: status %d", code)
 	}
-	wantPC, _ := inproc.MarginalPC(lattice.NewAttrSet(0, 1))
+	wantPC, _, err := inproc.MarginalPCCtx(nil, lattice.NewAttrSet(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(mr.Patterns) != wantPC.Size() {
 		t.Fatalf("marginal has %d patterns, want %d", len(mr.Patterns), wantPC.Size())
 	}
@@ -187,6 +190,17 @@ func TestServeIdentity(t *testing.T) {
 	if !st.Spilled || st.HotHits+st.FloatingHits+st.RunLoads == 0 {
 		t.Fatalf("stats %+v show no spilled read activity", st)
 	}
+}
+
+// mustBuildLabel builds a label whose options arm no context, so an error
+// is a bug.
+func mustBuildLabel(t *testing.T, d *dataset.Dataset, s lattice.AttrSet, opts core.CountOptions) *core.Label {
+	t.Helper()
+	l, err := core.BuildLabelOptsCtx(nil, d, s, opts)
+	if err != nil {
+		t.Fatalf("BuildLabelOptsCtx(%v): %v", s, err)
+	}
+	return l
 }
 
 func mustParse(t *testing.T, expr string) map[string]string {

@@ -147,7 +147,7 @@ func BuildLabel(d *Dataset, attrNames ...string) (*Label, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOpts(d, s, core.CountOptions{}), nil
+	return core.BuildLabelOptsCtx(nil, d, s, core.CountOptions{})
 }
 
 // BuildLabelCtx is BuildLabel with cooperative cancellation: the counting
@@ -198,8 +198,11 @@ func LabelSize(d *Dataset, bound int, attrNames ...string) (size int, within boo
 	if err != nil {
 		return 0, false, err
 	}
-	size, within = core.LabelSizeParallel(d, s, bound, core.CountOptions{})
-	return size, within, nil
+	sizes, w, err := core.LabelSizesFused(d, []AttrSet{s}, bound, core.CountOptions{})
+	if err != nil {
+		return 0, false, err
+	}
+	return sizes[0], w[0], nil
 }
 
 // LabelSizes computes |P_S| for a whole frontier of attribute sets in one
@@ -209,7 +212,9 @@ func LabelSize(d *Dataset, bound int, attrNames ...string) (size int, within boo
 // LabelSize would report. This is the scan the label search's enumeration
 // phase runs level by level.
 func LabelSizes(d *Dataset, sets []AttrSet, bound, workers int) (sizes []int, within []bool) {
-	return core.LabelSizesFused(d, sets, bound, core.CountOptions{Workers: workers})
+	// The options arm no Ctx and no MemBudget, so the scan cannot fail.
+	sizes, within, _ = core.LabelSizesFused(d, sets, bound, core.CountOptions{Workers: workers})
+	return sizes, within
 }
 
 // PatternsOver builds the workload P_S: every positive-count pattern over
@@ -221,7 +226,7 @@ func PatternsOver(d *Dataset, attrNames ...string) (*PatternSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.PatternsOverOpts(d, s, core.CountOptions{}), nil
+	return core.PatternsOver(d, s, core.CountOptions{})
 }
 
 // WriteHTMLReport renders a self-contained HTML page for a label (the
@@ -382,7 +387,7 @@ func BuildLabelWith(d *Dataset, opts LabelOptions, attrNames ...string) (*Label,
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOpts(d, s, opts.Engine.countOptions()), nil
+	return core.BuildLabelOptsCtx(nil, d, s, opts.Engine.countOptions())
 }
 
 // LabelManifest describes a saved label artifact (see docs/artifact-format.md).
@@ -449,7 +454,7 @@ func BuildDeltaLabel(delta *Dataset, engine EngineOptions, attrNames ...string) 
 	if err != nil {
 		return nil, err
 	}
-	return core.BuildLabelOpts(delta, s, engine.countOptions()), nil
+	return core.BuildLabelOptsCtx(nil, delta, s, engine.countOptions())
 }
 
 // SaveDeltaArtifact writes a delta label as its own artifact, tagged with

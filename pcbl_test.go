@@ -1,6 +1,7 @@
 package pcbl
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,27 +64,53 @@ func TestFacadePortableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeLabel(l)
+	// A label reopened from an artifact carries a schema-only dataset; it
+	// must export exactly what the in-process label does.
+	dir := filepath.Join(t.TempDir(), "artifact")
+	if err := SaveLabelArtifact(l, dir); err != nil {
+		t.Fatal(err)
+	}
+	reopened, _, err := OpenLabelArtifact(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := DecodeLabel(data)
+	wantData, err := EncodeLabel(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Size() != l.Size() {
-		t.Errorf("portable size %d != %d", pl.Size(), l.Size())
-	}
-	// Estimates agree with the live label.
+	wantText := RenderLabel(l, nil)
 	assign := map[string]string{"gender": "Female", "race": "Hispanic", "marital status": "divorced"}
 	p, _ := NewPattern(d, assign)
 	want := l.Estimate(p)
-	got, err := pl.Estimate(assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("portable estimate %v != live %v", got, want)
+	for _, in := range []struct {
+		name  string
+		label *Label
+	}{{"in-process", l}, {"reopened", reopened}} {
+		data, err := EncodeLabel(in.label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != string(wantData) {
+			t.Errorf("%s: EncodeLabel differs from the in-process label:\n%s\nwant\n%s", in.name, data, wantData)
+		}
+		if text := RenderLabel(in.label, nil); text != wantText {
+			t.Errorf("%s: RenderLabel differs from the in-process label:\n%s\nwant\n%s", in.name, text, wantText)
+		}
+		pl, err := DecodeLabel(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Size() != l.Size() {
+			t.Errorf("%s: portable size %d != %d", in.name, pl.Size(), l.Size())
+		}
+		// Estimates agree with the live label.
+		got, err := pl.Estimate(assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: portable estimate %v != live %v", in.name, got, want)
+		}
 	}
 }
 
