@@ -31,8 +31,8 @@ func TestAllocsRefineSizeBatch(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		parent.RefineSizeBatch(d, attrs, -1, opts)
 	})
-	// Measured ~12 (results + specs + plans + accs + keyer metadata +
-	// column table + active list); anything near the child count × key
+	// Measured 9 (results + plans + accs + keyer metadata + column
+	// table + active list); anything near the child count × key
 	// space means pooling broke.
 	if allocs > 25 {
 		t.Fatalf("RefineSizeBatch allocs/run = %.0f, want <= 25", allocs)
@@ -84,19 +84,27 @@ func TestAllocsBuildPCParallelPooled(t *testing.T) {
 	}
 }
 
-// TestAllocsRefinePooledSteadyState pins the per-child eager path with a
-// pool: a refine-size probe recycles its compact-space slab entirely.
+// TestAllocsRefinePooledSteadyState pins the batched kernel over a
+// materialized (cached) parent with a pool: after warmup the compact-space
+// slabs and key-block scratch recycle entirely, leaving only the per-call
+// planning slices.
 func TestAllocsRefinePooledSteadyState(t *testing.T) {
 	cfg := diffConfig{rows: 4000, attrs: 5, domain: 6, nullRate: 0}
 	d := diffDataset(t, cfg, 47)
-	parent := BuildRefinable(d, lattice.NewAttrSet(0, 2), nil)
 	pool := NewVecPool(0)
-	parent.RefineSize(d, 4, -1, pool) // warm
+	parent := BuildRefinable(d, lattice.NewAttrSet(0, 2), pool)
+	attrs := []int{4}
+	opts := CountOptions{Workers: 1, Pool: pool}
+	parent.RefineSizeBatch(d, attrs, -1, opts) // warm
+	_, missesBefore := pool.Stats()
 	allocs := testing.AllocsPerRun(20, func() {
-		parent.RefineSize(d, 4, -1, pool)
+		parent.RefineSizeBatch(d, attrs, -1, opts)
 	})
-	// Measured ~2 (column header + bookkeeping).
+	// Measured 4 (results, plans, accumulators, active list).
 	if allocs > 8 {
-		t.Fatalf("RefineSize allocs/run = %.0f, want <= 8", allocs)
+		t.Fatalf("RefineSizeBatch allocs/run = %.0f, want <= 8", allocs)
+	}
+	if _, misses := pool.Stats(); misses != missesBefore {
+		t.Fatalf("steady-state refinement missed the pool %d times", misses-missesBefore)
 	}
 }

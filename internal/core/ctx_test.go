@@ -116,7 +116,7 @@ func TestCancelledRefineBatchReturnsTypedError(t *testing.T) {
 	opts := testCountOptions(2)
 	opts.Pool = pool
 	opts.Ctx = cancelledCtx()
-	res, err := parent.RefineBatch(d, []BatchSpec{{Attr: 1}, {Attr: 2}}, -1, opts)
+	res, err := parent.RefineSizeBatch(d, []int{1, 2}, -1, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

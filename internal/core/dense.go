@@ -62,8 +62,8 @@ func (o CountOptions) denseLimit() int {
 // denseSpaceOK is THE dense-eligibility predicate: a flat count space of
 // the given size is worth allocating for a rows-sized scan iff it fits
 // the slot limit and is not vastly sparser than the scan. Every caller —
-// kernel selection (denseRadix), refinement accumulators (refine,
-// RefineBatch) and scheduler routing (DenseExtendable) — shares it, so
+// kernel selection (denseRadix), refinement accumulators
+// (RefineSizeBatch) and scheduler routing (DenseExtendable) — shares it, so
 // routing decisions and representation choices cannot drift apart.
 func denseSpaceOK(space uint64, rows, limit int) bool {
 	return limit > 0 && space <= uint64(limit) && space <= uint64(rows)*denseRowFactor+64

@@ -29,7 +29,7 @@
 // Label take ctx as their first parameter (LookupValsCtx, EachCtx,
 // MarginalizeCtx, CountCtx, EstimateCtx, MarginalPCCtx); engine calls that
 // take CountOptions read it from CountOptions.Ctx only (BuildPCParallel,
-// LabelSizesFused, RefineBatch, RefineSizeBatch). A nil ctx never cancels.
+// LabelSizesFused, RefineSizeBatch). A nil ctx never cancels.
 // Pooled slabs come from a *VecPool parameter or CountOptions.Pool, where
 // nil means plain allocation. No …E twin and no panicking wrapper is
 // added beside an entry point; the exceptions are Label.Count, Estimate
@@ -106,30 +106,26 @@
 //
 // Orthogonally, pccache.go and refinebatch.go reuse work across lattice
 // levels. A RefinablePC retains the row→group assignment of its group-by,
-// so the index (or just the label size) of S ∪ {a} follows from a
-// two-column pass — parent groups joined with a's column — counted in the
-// compact (group, value) space, which is bounded by |P_S| × dom(a) rather
-// than by the full mixed-radix product. Refinement itself is tiered:
+// so the label size of S ∪ {a} follows from a two-column pass — parent
+// groups joined with a's column — counted in the compact (group, value)
+// space, which is bounded by |P_S| × dom(a) rather than by the full
+// mixed-radix product. RefineSizeBatch is the one refinement kernel: one
+// pass over a parent's group assignment sizes an entire batch of sibling
+// children S ∪ {a₁}, …, S ∪ {aₖ} at once, scattering into k pooled
+// compact-space accumulators with per-child exact cap-abort and worker
+// sharding. It reads parents in two forms:
 //
-//   - batched slot-keyed (RefineBatch): when a set is dense-keyable its
-//     group ids can be DEFINED as the dense mixed-radix keys, so the
-//     row→group vector is virtual — recomputable blockwise through
-//     Keyer.KeyBlock — and one pass over it sizes an entire batch of
-//     sibling children S ∪ {a₁}, …, S ∪ {aₖ} at once, scattering into k
-//     pooled compact-space accumulators with per-child exact cap-abort
-//     and worker sharding. Children added above the parent's maximum
-//     member index are again slot-keyed and materialize for free (the
-//     accumulated count slab IS the child index; no vector is built).
-//     LazyRefinable constructs such parents without any scan.
-//   - per-child eager (Refine/RefineSize): sets beyond the dense tier
-//     keep the PR 2 path — a materialized, renumbered group vector held
-//     in a budget-bounded PCCache, refined one child at a time.
-//   - raw fused scans for everything else.
+//   - lazy (LazyRefinable): when a set is dense-keyable its group ids can
+//     be DEFINED as the dense mixed-radix keys, so the row→group vector is
+//     virtual — recomputed blockwise through Keyer.KeyBlock — and the
+//     parent costs no scan and no memory;
+//   - materialized (BuildRefinable): sets beyond the dense tier keep a
+//     per-row group vector, built by one raw scan and held in a
+//     budget-bounded PCCache for the next level.
 //
-// RefineFrom materializes any refined child bit-identically to BuildPC.
-// Package search's frontier scheduler routes every candidate through
-// these tiers in the order above, grouping each level by gen parent for
-// the batched tier.
+// Package search's frontier scheduler routes every candidate to a lazy
+// gen parent, else to its cached parent with the fewest groups, else to
+// raw fused scans, and sizes each same-parent group in one batch.
 //
 // Refinement never spills: its compact (group, value) spaces are bounded
 // by an in-bound parent's group count times one attribute domain, so it
@@ -139,12 +135,12 @@
 // slabs, key scratch and spill buffers across refinements, fused scans
 // and sharded builds (CountOptions.Pool); PCCache releases evicted
 // indexes into it, and MemBytes counts slab capacities so cache budgets
-// bound pinned bytes. Eviction is level-pipelined: the frontier scheduler
-// drops a cached parent the moment its last refinement has run
-// (PCCache.Drop), so its slabs return to the pool before the next sibling
-// chunk allocates. Steady-state enumeration allocates a near-constant
-// working set (pinned by alloc_test.go) instead of one rows×4B vector per
-// cached set.
+// bound pinned bytes. Eviction happens at one point per lattice level:
+// once the level is sized, the frontier scheduler drops the previous
+// level's parents (PCCache.DropBelow), so their group vectors return to
+// the pool before the next level's parents are built from it.
+// Steady-state enumeration allocates a near-constant working set (pinned
+// by alloc_test.go) instead of one rows×4B vector per cached set.
 //
 // Every parallel, dense, refinement and batch entry point returns results
 // bit-identical to its sequential counterpart for all worker counts

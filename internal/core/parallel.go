@@ -51,9 +51,9 @@ type CountOptions struct {
 	// arrays, per-worker shard slabs, key-block scratch — from a recycled
 	// free-list arena instead of fresh allocations, and receives the
 	// transient ones back when a scan completes. Results never retain
-	// pooled memory unless documented (RefineBatch's built children own
-	// their count slabs until released). A nil pool means plain
-	// allocation; behaviour is identical either way.
+	// pooled memory unless documented (a RefinablePC owns its group
+	// vector until released). A nil pool means plain allocation;
+	// behaviour is identical either way.
 	Pool *VecPool
 
 	// MemBudget, when positive, bounds the estimated in-memory grouping

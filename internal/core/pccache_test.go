@@ -1,11 +1,13 @@
 package core
 
-// Differential coverage for parent-PC reuse: refinement chains from the
-// empty set must reproduce BuildPC bit-identically at every lattice step
-// (including byte-key attribute sets and cap-abort boundaries), and
-// PC.MarginalizeCtx — the inverse direction — must match a raw group-by of
-// the sub-set on NULL-free data. PCCache coverage pins the memory budget
-// and level-eviction behaviour.
+// Differential coverage for parent-PC reuse: a materialized RefinablePC's
+// group vector must partition the rows exactly as the group-by of its set
+// does, refinement chains of materialized parents must size every step as
+// sequential LabelSize does (including byte-key attribute sets, an
+// all-NULL added attribute, the empty dataset and cap-abort boundaries),
+// and PC.MarginalizeCtx — the inverse direction — must match a raw
+// group-by of the sub-set on NULL-free data. PCCache coverage pins the
+// memory budget and level-eviction behaviour.
 
 import (
 	"fmt"
@@ -16,8 +18,57 @@ import (
 	"pcbl/internal/lattice"
 )
 
+// checkGroupVector asserts r's group vector is the group-by of its set:
+// rows NULL in a member are -1, every other row carries a group id in
+// [0, Groups), two rows share a group iff they agree on every member, and
+// every group id is used.
+func checkGroupVector(t *testing.T, d *dataset.Dataset, r *RefinablePC) {
+	t.Helper()
+	members := r.Attrs().Members()
+	tupleOf := func(row int) (string, bool) {
+		key := ""
+		for _, a := range members {
+			v := d.Col(a)[row]
+			if v == dataset.Null {
+				return "", false
+			}
+			key += fmt.Sprintf("%d,", v)
+		}
+		return key, true
+	}
+	if len(r.groups) != d.NumRows() {
+		t.Fatalf("set %v: group vector covers %d rows, dataset has %d", r.Attrs(), len(r.groups), d.NumRows())
+	}
+	groupTuple := map[int32]string{}
+	tupleGroup := map[string]int32{}
+	for row, g := range r.groups {
+		key, ok := tupleOf(row)
+		if !ok {
+			if g != -1 {
+				t.Fatalf("set %v row %d: NULL row in group %d", r.Attrs(), row, g)
+			}
+			continue
+		}
+		if g < 0 || int(g) >= r.Groups() {
+			t.Fatalf("set %v row %d: group %d outside [0, %d)", r.Attrs(), row, g, r.Groups())
+		}
+		if prev, seen := groupTuple[g]; seen && prev != key {
+			t.Fatalf("set %v: group %d holds tuples %q and %q", r.Attrs(), g, prev, key)
+		}
+		if prev, seen := tupleGroup[key]; seen && prev != g {
+			t.Fatalf("set %v: tuple %q split across groups %d and %d", r.Attrs(), key, prev, g)
+		}
+		groupTuple[g], tupleGroup[key] = key, g
+	}
+	if len(groupTuple) != r.Groups() {
+		t.Fatalf("set %v: %d groups used, Groups reports %d", r.Attrs(), len(groupTuple), r.Groups())
+	}
+}
+
 // TestDifferentialRefinableMatchesBuildPC: a raw-built RefinablePC must
-// materialize exactly BuildPC's index for every dataset shape and set.
+// carry exactly BuildPC's groups — same count, and a group vector that
+// partitions the rows as the group-by does — for every dataset shape and
+// set, whichever key path (dense, uint64 map, byte string) built it.
 func TestDifferentialRefinableMatchesBuildPC(t *testing.T) {
 	for ci, cfg := range diffConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
@@ -32,75 +83,62 @@ func TestDifferentialRefinableMatchesBuildPC(t *testing.T) {
 				if r.Groups() != want.Size() {
 					t.Fatalf("set %v: Groups %d, BuildPC size %d", s, r.Groups(), want.Size())
 				}
-				pcEqual(t, want, r.PC(d))
+				checkGroupVector(t, d, r)
 			}
 		})
+	}
+}
+
+// checkRefineSizes asserts one batched pass over parent sizes every
+// attribute in attrs exactly as sequential LabelSize does, at every cap of
+// the grid and for every worker count, with and without a pool.
+func checkRefineSizes(t *testing.T, d *dataset.Dataset, parent *RefinablePC, attrs []int, pool *VecPool) {
+	t.Helper()
+	s := parent.Attrs()
+	trueSize, _ := LabelSize(d, s.Add(attrs[0]), -1)
+	for _, cap := range diffCaps(trueSize) {
+		for _, workers := range diffWorkerCounts {
+			opts := testCountOptions(workers)
+			if workers == 2 {
+				opts.Pool = pool
+			}
+			res, err := parent.RefineSizeBatch(d, attrs, cap, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, a := range attrs {
+				wantSize, wantWithin := LabelSize(d, s.Add(a), cap)
+				if res[j].Size != wantSize || res[j].Within != wantWithin {
+					t.Fatalf("refine %v+%d cap=%d workers=%d: got (%d, %v), want (%d, %v)",
+						s, a, cap, workers, res[j].Size, res[j].Within, wantSize, wantWithin)
+				}
+			}
+		}
 	}
 }
 
 // TestDifferentialRefineChain: refine attribute by attribute from the
-// empty set in randomized orders; every intermediate index must match
-// BuildPC, and every RefineSize must match sequential LabelSize across the
-// cap grid, including the byte-key dataset shape.
+// empty set in randomized orders, each step from a materialized parent
+// built the way the frontier scheduler builds its cached parents
+// (BuildRefinable). Every step's batched size must match sequential
+// LabelSize across the cap grid and the worker counts, including the
+// byte-key dataset shape and the empty dataset.
 func TestDifferentialRefineChain(t *testing.T) {
 	for ci, cfg := range diffConfigs {
-		if cfg.rows == 0 {
-			continue // covered by TestRefineEmptyAndDegenerate
-		}
 		t.Run(cfg.name(), func(t *testing.T) {
 			d := diffDataset(t, cfg, uint64(ci)+1)
 			rng := rand.New(rand.NewPCG(uint64(ci), 0xC4A1))
+			pool := NewVecPool(0)
 			for trial := 0; trial < 3; trial++ {
-				order := rng.Perm(cfg.attrs)
-				cur := BuildRefinable(d, lattice.AttrSet(0), nil)
 				attrs := lattice.AttrSet(0)
-				for _, a := range order {
-					trueSize, _ := LabelSize(d, attrs.Add(a), -1)
-					for _, cap := range diffCaps(trueSize) {
-						wantSize, wantWithin := LabelSize(d, attrs.Add(a), cap)
-						gotSize, gotWithin := cur.RefineSize(d, a, cap, nil)
-						if gotSize != wantSize || gotWithin != wantWithin {
-							t.Fatalf("refine %v+%d cap=%d: got (%d, %v), want (%d, %v)",
-								attrs, a, cap, gotSize, gotWithin, wantSize, wantWithin)
-						}
-					}
-					child, size, within := cur.Refine(d, a, -1, nil)
-					if !within || size != trueSize {
-						t.Fatalf("refine %v+%d: size %d within %v, want %d", attrs, a, size, within, trueSize)
-					}
+				for _, a := range rng.Perm(cfg.attrs) {
+					parent := BuildRefinable(d, attrs, pool)
+					checkRefineSizes(t, d, parent, []int{a}, pool)
+					parent.Release(pool)
 					attrs = attrs.Add(a)
-					pcEqual(t, BuildPC(d, attrs), child.PC(d))
-					cur = child
 				}
 			}
 		})
-	}
-}
-
-// TestRefineFromAPI pins the public entry point: one-attribute extensions
-// are served from the parent's groups bit-identically to BuildPC; anything
-// else reports ok=false.
-func TestRefineFromAPI(t *testing.T) {
-	cfg := diffConfig{rows: 1500, attrs: 5, domain: 6, nullRate: 0.1}
-	d := diffDataset(t, cfg, 17)
-	parentSet := lattice.NewAttrSet(0, 2)
-	parent := BuildRefinable(d, parentSet, nil)
-	pc, ok := RefineFrom(d, parent, parentSet.Add(4))
-	if !ok {
-		t.Fatal("RefineFrom rejected a one-attribute extension")
-	}
-	pcEqual(t, BuildPC(d, parentSet.Add(4)), pc)
-	if _, ok := RefineFrom(d, parent, parentSet.Add(3).Add(4)); ok {
-		t.Error("RefineFrom accepted a two-attribute extension")
-	}
-	if _, ok := RefineFrom(d, parent, lattice.NewAttrSet(1, 3)); ok {
-		t.Error("RefineFrom accepted a non-superset")
-	}
-	if _, ok := RefineFrom(d, parent, parentSet); ok {
-		t.Error("RefineFrom accepted the parent set itself")
-	}
-	if _, ok := RefineFrom(d, nil, parentSet.Add(4)); ok {
-		t.Error("RefineFrom accepted a nil parent")
 	}
 }
 
@@ -113,33 +151,48 @@ func TestRefineEmptyAndDegenerate(t *testing.T) {
 	if r.Groups() != 0 {
 		t.Fatalf("empty dataset root has %d groups, want 0", r.Groups())
 	}
-	child, size, within := r.Refine(empty, 1, 5, nil)
-	if size != 0 || !within || child.Groups() != 0 {
-		t.Fatalf("empty refine = (%d, %v, %d groups), want (0, true, 0)", size, within, child.Groups())
+	for _, workers := range diffWorkerCounts {
+		res, err := r.RefineSizeBatch(empty, []int{1, 2}, 5, testCountOptions(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, got := range res {
+			if got.Size != 0 || !got.Within {
+				t.Fatalf("empty refine %d workers=%d = (%d, %v), want (0, true)", j, workers, got.Size, got.Within)
+			}
+		}
 	}
 
-	// One attribute entirely NULL: refining by it empties the index.
-	bld := dataset.NewBuilder("nulls", "a", "b")
-	if _, err := bld.InternValue(0, "x"); err != nil {
-		t.Fatal(err)
+	// One attribute entirely NULL: refining by it empties the index, and a
+	// parent over it has no groups to refine.
+	bld := dataset.NewBuilder("nulls", "a", "b", "c")
+	for _, v := range []string{"x", "y"} {
+		if _, err := bld.InternValue(0, v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bld.InternValue(2, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 10; i++ {
-		bld.AppendIDs(1, dataset.Null)
+		bld.AppendIDs(uint16(1+i%2), dataset.Null, uint16(1+i/5))
 	}
 	d, err := bld.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := BuildRefinable(d, lattice.AttrSet(0), nil)
-	single, size, _ := root.Refine(d, 0, -1, nil)
-	if size != 1 {
-		t.Fatalf("singleton size %d, want 1", size)
+	pool := NewVecPool(0)
+	single := BuildRefinable(d, lattice.NewAttrSet(0), nil)
+	if single.Groups() != 2 {
+		t.Fatalf("singleton groups %d, want 2", single.Groups())
 	}
-	allNull, size, within := single.Refine(d, 1, -1, nil)
-	if size != 0 || !within {
-		t.Fatalf("all-NULL refine = (%d, %v), want (0, true)", size, within)
+	checkRefineSizes(t, d, single, []int{1, 2}, pool)
+	allNull := BuildRefinable(d, lattice.NewAttrSet(0, 1), nil)
+	if allNull.Groups() != 0 {
+		t.Fatalf("all-NULL parent groups %d, want 0", allNull.Groups())
 	}
-	pcEqual(t, BuildPC(d, lattice.NewAttrSet(0, 1)), allNull.PC(d))
+	checkRefineSizes(t, d, allNull, []int{2}, pool)
+	checkGroupVector(t, d, allNull)
 }
 
 // TestDifferentialMarginalize: on NULL-free data, marginalizing any parent
@@ -229,16 +282,20 @@ func TestPCCacheBudget(t *testing.T) {
 	}
 }
 
-// TestRefinePanicsOnMember documents the programmer-error contract.
+// TestRefinePanicsOnMember documents the programmer-error contract on a
+// lazy parent (TestRefineBatchPanics covers materialized parents).
 func TestRefinePanicsOnMember(t *testing.T) {
 	d := diffDataset(t, diffConfig{rows: 50, attrs: 3, domain: 3, nullRate: 0}, 3)
-	r := BuildRefinable(d, lattice.NewAttrSet(1), nil)
+	r, ok := LazyRefinable(d, lattice.NewAttrSet(1))
+	if !ok {
+		t.Fatal("singleton not dense-keyable")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("refining by a member attribute must panic")
 		}
 	}()
-	r.RefineSize(d, 1, -1, nil)
+	r.RefineSizeBatch(d, []int{1}, -1, CountOptions{Workers: 1})
 }
 
 // TestRefinableAccessors smoke-tests the metadata the scheduler relies on.

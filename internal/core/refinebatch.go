@@ -9,55 +9,33 @@ import (
 	"pcbl/internal/workpool"
 )
 
-// Batched sibling refinement: one pass over a parent's group assignment
-// serves the whole batch of sibling children S ∪ {a₁}, …, S ∪ {aₖ}. The
-// kernel reads each parent group id once per row block — streamed through
-// Keyer.KeyBlock for lazy slot-keyed parents, or converted from the
-// materialized group vector — and scatters into k per-child accumulators:
-// a dense []int32 slab when the compact (group, value) space is small, a
-// hash set otherwise. Each child keeps the exact sequential cap-abort
-// contract of LabelSize, and row chunks shard across workers exactly like
-// the fused frontier scan, so refinement scales with CountOptions.Workers.
-//
-// Child slots are numbered pg + (id-1)·gspace — the added attribute in the
-// highest radix position — so that when the parent is slot-keyed and the
-// added attribute lies above every parent member, the child's slots are
-// again exactly its dense mixed-radix keys. Such children materialize for
-// free: the count slab accumulated during the pass IS the child index, and
-// no row→group vector is ever built. This is what lets the frontier
-// scheduler size an entire lattice in near-constant allocation: group
-// vectors exist only virtually, recomputed blockwise when a parent is
-// consumed.
-
-// BatchSpec names one sibling child of a batched refinement: the attribute
-// it adds to the parent set, and whether a materialized child index should
-// be returned. Build is honored only when the child can be kept in lazy
-// slot-keyed form (dense compact space, slot-keyed parent, attribute above
-// every parent member); otherwise the child is sized but BatchResult.Child
-// stays nil and the caller falls back (see RefinablePC.Refine).
-type BatchSpec struct {
-	Attr  int
-	Build bool
-}
+// Batched sibling refinement, the engine's one refinement kernel: one pass
+// over a parent's group assignment sizes the whole batch of sibling
+// children S ∪ {a₁}, …, S ∪ {aₖ}. The kernel reads each parent group id
+// once per row block — streamed through Keyer.KeyBlock for lazy slot-keyed
+// parents, converted from the group vector for materialized ones — and
+// scatters into k per-child accumulators: a dense []int32 slab when the
+// compact (group, value) space is small, a hash set otherwise. Each child
+// keeps the exact sequential cap-abort contract of LabelSize, and row
+// chunks shard across workers exactly like the fused frontier scan, so
+// refinement scales with CountOptions.Workers. Lazy parents are what let
+// the frontier scheduler size a dense-keyable lattice in near-constant
+// allocation: their group vectors exist only virtually, recomputed
+// blockwise when the parent is consumed.
 
 // BatchResult is one sibling child's outcome: exactly what LabelSize(d,
-// S ∪ {a}, cap) reports, plus the materialized child when requested and
-// eligible. A returned child owns its (possibly pooled) count slab until
-// Release.
+// S ∪ {a}, cap) reports.
 type BatchResult struct {
 	Size   int
 	Within bool
-	Child  *RefinablePC
 }
 
 // batchPlan is the per-child static plan of one batched refinement.
 type batchPlan struct {
-	attr      int
-	col       []uint16
-	mult      uint64 // slot = pg + (id-1)*mult; mult = parent gspace
-	cspace    uint64 // compact child space: gspace × dom(attr)
-	dense     bool   // dense slab accumulator vs hash set
-	buildable bool   // child can be kept as a lazy slot-keyed index
+	col    []uint16
+	mult   uint64 // slot = pg + (id-1)*mult; mult = parent gspace
+	cspace uint64 // compact child space: gspace × dom(attr)
+	dense  bool   // dense slab accumulator vs hash set
 }
 
 // batchAcc is one worker's accumulator for one child.
@@ -69,40 +47,26 @@ type batchAcc struct {
 }
 
 // RefineSizeBatch computes LabelSize(d, S ∪ {a}, cap) for every attribute
-// in attrs in a single blocked pass over the parent's group assignment;
-// result i matches what RefineSize(d, attrs[i], cap) — and hence the
-// sequential LabelSize — reports, for every worker count. Cancellation
-// follows RefineBatch's polling contract.
+// a in attrs in a single blocked pass over the parent's group assignment,
+// with per-child exact cap-abort, sharded across opts.Workers; result i
+// matches the sequential LabelSize of S ∪ {attrs[i]} for every worker
+// count. attrs must name distinct non-member attributes. Accumulator slabs
+// come from opts.Pool and go back before the call returns. With
+// CountOptions.Ctx armed, every worker polls the context once per row
+// block; a fired context aborts the pass, returns every pooled slab, and
+// surfaces the typed context error with nil results.
 func (r *RefinablePC) RefineSizeBatch(d *dataset.Dataset, attrs []int, cap int, opts CountOptions) ([]BatchResult, error) {
-	specs := make([]BatchSpec, len(attrs))
-	for i, a := range attrs {
-		specs[i] = BatchSpec{Attr: a}
-	}
-	return r.RefineBatch(d, specs, cap, opts)
-}
-
-// RefineBatch refines the parent by every spec'd attribute at once: one
-// pass over the parent group ids, k per-child accumulators, per-child
-// exact cap-abort, sharded across opts.Workers. Specs must name distinct
-// non-member attributes. See BatchSpec for when a child materializes.
-// With CountOptions.Ctx armed, every worker polls the context once per row
-// block; a fired context aborts the pass, returns every pooled accumulator
-// slab, and surfaces the typed context error with nil results — no
-// partially counted child escapes.
-func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int, opts CountOptions) ([]BatchResult, error) {
-	results := make([]BatchResult, len(specs))
-	if len(specs) == 0 {
+	results := make([]BatchResult, len(attrs))
+	if len(attrs) == 0 {
 		return results, nil
 	}
 	pool := opts.Pool
 	rows := r.rows
 	limit := opts.denseLimit()
-	maxMember := r.attrs.MaxIndex()
 
 	var dup lattice.AttrSet
-	plans := make([]batchPlan, len(specs))
-	for j, sp := range specs {
-		a := sp.Attr
+	plans := make([]batchPlan, len(attrs))
+	for j, a := range attrs {
 		if r.attrs.Has(a) {
 			panic(fmt.Sprintf("core: batch refine by attribute %d already in %v", a, r.attrs))
 		}
@@ -110,25 +74,18 @@ func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int
 			panic(fmt.Sprintf("core: duplicate attribute %d in batch refine of %v", a, r.attrs))
 		}
 		dup = dup.Add(a)
-		dim := d.Attr(a).DomainSize()
-		cspace := uint64(r.gspace) * uint64(dim)
-		dense := denseSpaceOK(cspace, rows, limit)
+		cspace := uint64(r.gspace) * uint64(d.Attr(a).DomainSize())
 		plans[j] = batchPlan{
-			attr:      a,
-			col:       d.Col(a),
-			mult:      uint64(r.gspace),
-			cspace:    cspace,
-			dense:     dense,
-			buildable: sp.Build && dense && r.slotKeys && a > maxMember,
+			col:    d.Col(a),
+			mult:   uint64(r.gspace),
+			cspace: cspace,
+			dense:  denseSpaceOK(cspace, rows, limit),
 		}
 	}
 
 	var keyer *Keyer
 	var cols [][]uint16
-	if r.groups == nil {
-		if !r.slotKeys {
-			panic("core: batch refine of an unmaterialized non-slot-keyed index")
-		}
+	if r.gcount < 0 { // lazy: stream the dense keys instead of a vector
 		keyer = NewKeyer(d, r.attrs)
 		cols = datasetCols(d)
 	}
@@ -143,7 +100,12 @@ func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int
 			return nil, err
 		}
 		for j := range plans {
-			results[j] = finishBatchChild(r, &plans[j], accs[j].slab, accs[j].distinct, !accs[j].done, cap, pool)
+			if accs[j].done {
+				results[j] = BatchResult{Size: cap + 1}
+			} else {
+				results[j] = BatchResult{Size: accs[j].distinct, Within: true}
+			}
+			pool.PutInt32(accs[j].slab)
 		}
 		return results, nil
 	}
@@ -152,7 +114,7 @@ func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int
 	// count for child j passes cap — a lower bound on the global count —
 	// so other workers stop accumulating it. The merge re-derives the
 	// exact verdict for the rest.
-	exceeded := make([]atomic.Bool, len(specs))
+	exceeded := make([]atomic.Bool, len(attrs))
 	shards := make([][]batchAcc, workers)
 	workpool.RunChunks(rows, workers, func(w, lo, hi int) {
 		accs := newBatchAccs(plans, pool)
@@ -165,17 +127,16 @@ func (r *RefinablePC) RefineBatch(d *dataset.Dataset, specs []BatchSpec, cap int
 	}
 
 	for j := range plans {
-		pl := &plans[j]
 		if cap >= 0 && exceeded[j].Load() {
-			results[j] = BatchResult{Size: cap + 1, Within: false}
+			results[j] = BatchResult{Size: cap + 1}
 			for _, accs := range shards {
 				pool.PutInt32(accs[j].slab)
 				accs[j].slab = nil
 			}
 			continue
 		}
-		slab, distinct, within := mergeBatchShards(shards, j, cap, pool)
-		results[j] = finishBatchChild(r, pl, slab, distinct, within, cap, pool)
+		size, within := mergeBatchShards(shards, j, cap, pool)
+		results[j] = BatchResult{Size: size, Within: within}
 	}
 	return results, nil
 }
@@ -301,14 +262,14 @@ func (acc *batchAcc) scanBlock(pl *batchPlan, pg []uint64, blo, cap int) (done b
 // mergeBatchShards unions the per-worker accumulators for child j —
 // vector addition with a nonzero-slot counter on the dense path, set union
 // otherwise — aborting at the cap exactly as the sequential pass would.
-// On the dense path it returns the merged slab (worker 0's, others go back
-// to the pool); the sparse path returns no slab.
-func mergeBatchShards(shards [][]batchAcc, j, cap int, pool *VecPool) (slab []int32, distinct int, within bool) {
+// Every dense slab goes back to the pool.
+func mergeBatchShards(shards [][]batchAcc, j, cap int, pool *VecPool) (size int, within bool) {
 	first := &shards[0][j]
 	if first.slab != nil {
 		merged := first.slab
 		first.slab = nil
-		distinct = first.distinct
+		defer pool.PutInt32(merged)
+		distinct := first.distinct
 		within = true
 		for _, accs := range shards[1:] {
 			shard := accs[j].slab
@@ -331,43 +292,18 @@ func mergeBatchShards(shards [][]batchAcc, j, cap int, pool *VecPool) (slab []in
 			pool.PutInt32(shard)
 		}
 		if !within {
-			pool.PutInt32(merged)
-			return nil, cap + 1, false
+			return cap + 1, false
 		}
-		return merged, distinct, true
+		return distinct, true
 	}
 	seen := first.seen
 	for _, accs := range shards[1:] {
 		for slot := range accs[j].seen {
 			seen[slot] = struct{}{}
 			if cap >= 0 && len(seen) > cap {
-				return nil, cap + 1, false
+				return cap + 1, false
 			}
 		}
 	}
-	return nil, len(seen), true
-}
-
-// finishBatchChild converts one child's accumulated state into its
-// BatchResult, materializing the lazy slot-keyed child when eligible and
-// returning unneeded slabs to the pool.
-func finishBatchChild(r *RefinablePC, pl *batchPlan, slab []int32, distinct int, within bool, cap int, pool *VecPool) BatchResult {
-	if !within {
-		pool.PutInt32(slab)
-		return BatchResult{Size: cap + 1, Within: false}
-	}
-	if pl.buildable && slab != nil {
-		child := &RefinablePC{
-			attrs:    r.attrs.Add(pl.attr),
-			members:  insertInt(r.members, len(r.members), pl.attr),
-			rows:     r.rows,
-			gcount:   distinct,
-			gspace:   int(pl.cspace),
-			counts:   slab,
-			slotKeys: true,
-		}
-		return BatchResult{Size: distinct, Within: true, Child: child}
-	}
-	pool.PutInt32(slab)
-	return BatchResult{Size: distinct, Within: true}
+	return len(seen), true
 }

@@ -1,11 +1,10 @@
 package core
 
-// Differential coverage for batched sibling refinement: RefineBatch /
-// RefineSizeBatch must agree exactly with the per-child Refine/RefineSize
-// path and with sequential LabelSize — sizes, cap-abort verdicts at the
-// boundary values, and materialized child contents against naive BuildPC —
-// across randomized datasets, eager and lazy parents (including byte-key
-// fallback parents), with and without the pool, for workers 1, 2 and 8.
+// Differential coverage for batched sibling refinement: RefineSizeBatch
+// must agree exactly with sequential LabelSize — sizes and cap-abort
+// verdicts at the boundary values — across randomized datasets, eager
+// (materialized) and lazy parents (including byte-key parents), with and
+// without the pool, for workers 1, 2 and 8.
 
 import (
 	"math/rand/v2"
@@ -45,8 +44,8 @@ func batchParents(t *testing.T, d *dataset.Dataset, s lattice.AttrSet) map[strin
 }
 
 // TestDifferentialRefineSizeBatch: every batched size must equal the
-// per-child RefineSize and the sequential LabelSize across the cap grid,
-// for eager and lazy parents and every worker count.
+// sequential LabelSize across the cap grid, for eager and lazy parents and
+// every worker count.
 func TestDifferentialRefineSizeBatch(t *testing.T) {
 	for ci, cfg := range diffConfigs {
 		t.Run(cfg.name(), func(t *testing.T) {
@@ -78,9 +77,6 @@ func TestDifferentialRefineSizeBatch(t *testing.T) {
 									t.Fatalf("%s parent %v+%d cap=%d workers=%d: got (%d, %v), want (%d, %v)",
 										form, s, a, cap, workers, res[j].Size, res[j].Within, wantSize, wantWithin)
 								}
-								if res[j].Child != nil {
-									t.Fatalf("%s parent %v+%d: size-only batch returned a child", form, s, a)
-								}
 							}
 						}
 					}
@@ -90,10 +86,11 @@ func TestDifferentialRefineSizeBatch(t *testing.T) {
 	}
 }
 
-// TestDifferentialRefineBatchBuild: children materialized by the batch
-// pass must reproduce BuildPC bit-identically, and must themselves serve
-// as parents for the next batched level (the lazy chain the frontier
-// scheduler walks).
+// TestDifferentialRefineBatchBuild walks two lattice levels the way the
+// frontier scheduler does: the singletons are sized from the lazy root in
+// one batch, and each singleton, built as a materialized parent
+// (BuildRefinable, the scheduler's parent build), sizes its gen children
+// in one batch next to its lazy form. Every size must equal BuildPC's.
 func TestDifferentialRefineBatchBuild(t *testing.T) {
 	for ci, cfg := range diffConfigs {
 		if cfg.rows == 0 {
@@ -106,54 +103,43 @@ func TestDifferentialRefineBatchBuild(t *testing.T) {
 			if !ok {
 				t.Skip("dataset not dense-keyable at the root")
 			}
-			// Walk two lattice levels through built lazy children.
-			specs := make([]BatchSpec, cfg.attrs)
-			for a := 0; a < cfg.attrs; a++ {
-				specs[a] = BatchSpec{Attr: a, Build: true}
-			}
+			all := nonMembers(0, cfg.attrs)
 			for _, workers := range diffWorkerCounts {
 				opts := testCountOptions(workers)
 				opts.Pool = pool
-				singles, err := root.RefineBatch(d, specs, -1, opts)
+				singles, err := root.RefineSizeBatch(d, all, -1, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for a, res := range singles {
 					s := lattice.NewAttrSet(a)
-					want := BuildPC(d, s)
-					if res.Size != want.Size() {
-						t.Fatalf("single %d workers=%d: size %d, want %d", a, workers, res.Size, want.Size())
+					if want := BuildPC(d, s).Size(); res.Size != want || !res.Within {
+						t.Fatalf("single %d workers=%d: (%d, %v), want (%d, true)", a, workers, res.Size, res.Within, want)
 					}
-					if res.Child == nil {
-						continue // not buildable in slot form (e.g. huge domain)
+					var above []int
+					for b := a + 1; b < cfg.attrs; b++ {
+						above = append(above, b)
 					}
-					pcEqual(t, want, res.Child.PC(d))
-					// Second level: the built child as a lazy batch parent.
-					var childSpecs []BatchSpec
-					for _, b := range nonMembers(s, cfg.attrs) {
-						if b > a {
-							childSpecs = append(childSpecs, BatchSpec{Attr: b, Build: true})
-						}
-					}
-					if len(childSpecs) == 0 {
+					if len(above) == 0 {
 						continue
 					}
-					pairs, err := res.Child.RefineBatch(d, childSpecs, -1, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j, pres := range pairs {
-						ps := s.Add(childSpecs[j].Attr)
-						pwant := BuildPC(d, ps)
-						if pres.Size != pwant.Size() {
-							t.Fatalf("pair %v workers=%d: size %d, want %d", ps, workers, pres.Size, pwant.Size())
+					built := BuildRefinable(d, s, pool)
+					for form, parent := range batchParents(t, d, s) {
+						if form == "eager" {
+							parent = built
 						}
-						if pres.Child != nil {
-							pcEqual(t, pwant, pres.Child.PC(d))
-							pres.Child.Release(pool)
+						pairs, err := parent.RefineSizeBatch(d, above, -1, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for j, pres := range pairs {
+							ps := s.Add(above[j])
+							if want := BuildPC(d, ps).Size(); pres.Size != want || !pres.Within {
+								t.Fatalf("%s pair %v workers=%d: (%d, %v), want (%d, true)", form, ps, workers, pres.Size, pres.Within, want)
+							}
 						}
 					}
-					res.Child.Release(pool)
+					built.Release(pool)
 				}
 			}
 		})
@@ -191,9 +177,10 @@ func TestRefineBatchByteKeyParent(t *testing.T) {
 	}
 }
 
-// TestRefineLazyParentFallback pins the per-child entry points on a lazy
-// parent: Refine must route through the batch kernel (building through a
-// raw scan when slot form is unavailable), bit-identical to BuildPC.
+// TestRefineLazyParentFallback pins a lazy parent refined by attributes on
+// both sides of its maximum member (only the ones above it keep the child
+// slot-keyed; the kernel must not care) and the cap-abort contract on the
+// streamed-key path.
 func TestRefineLazyParentFallback(t *testing.T) {
 	cfg := diffConfig{rows: 1200, attrs: 5, domain: 5, nullRate: 0.1}
 	d := diffDataset(t, cfg, 29)
@@ -202,30 +189,13 @@ func TestRefineLazyParentFallback(t *testing.T) {
 	if !ok {
 		t.Fatal("parent unexpectedly not dense-keyable")
 	}
-	// Attribute above the max member: lazy slot-keyed child.
-	child, size, within := lazy.Refine(d, 4, -1, nil)
-	want, _ := LabelSize(d, parentSet.Add(4), -1)
-	if !within || size != want || child == nil {
-		t.Fatalf("lazy refine +4: (%d, %v, child=%v), want (%d, true, non-nil)", size, within, child != nil, want)
+	checkRefineSizes(t, d, lazy, []int{4, 0, 2}, NewVecPool(0))
+	res, err := lazy.RefineSizeBatch(d, []int{4}, 0, CountOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pcEqual(t, BuildPC(d, parentSet.Add(4)), child.PC(d))
-	// Attribute below the max member breaks the slot-key chain: the build
-	// falls back to a raw scan but must stay bit-identical.
-	child0, size0, within0 := lazy.Refine(d, 0, -1, nil)
-	want0, _ := LabelSize(d, parentSet.Add(0), -1)
-	if !within0 || size0 != want0 || child0 == nil {
-		t.Fatalf("lazy refine +0: (%d, %v, child=%v), want (%d, true, non-nil)", size0, within0, child0 != nil, want0)
-	}
-	pcEqual(t, BuildPC(d, parentSet.Add(0)), child0.PC(d))
-	// RefineFrom accepts a lazy parent.
-	pc, ok := RefineFrom(d, lazy, parentSet.Add(2))
-	if !ok {
-		t.Fatal("RefineFrom rejected a lazy parent")
-	}
-	pcEqual(t, BuildPC(d, parentSet.Add(2)), pc)
-	// Cap abort on the lazy path keeps the LabelSize contract.
-	if size, within := lazy.RefineSize(d, 4, 0, nil); within || size != 1 {
-		t.Fatalf("lazy RefineSize cap=0: (%d, %v), want (1, false)", size, within)
+	if res[0].Within || res[0].Size != 1 {
+		t.Fatalf("lazy cap=0: (%d, %v), want (1, false)", res[0].Size, res[0].Within)
 	}
 }
 

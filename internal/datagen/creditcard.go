@@ -25,7 +25,7 @@ const CreditCardBins = 5
 // predict next month's — giving the label search the correlated attribute
 // groups the paper's results rely on.
 func CreditCard(rows int, seed uint64) (*dataset.Dataset, error) {
-	raw, err := creditCardRaw(rows, seed)
+	raw, err := CreditCardRaw(rows, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -35,9 +35,9 @@ func CreditCard(rows int, seed uint64) (*dataset.Dataset, error) {
 	})
 }
 
-// creditCardRaw generates the pre-bucketization table with raw numeric
+// CreditCardRaw generates the pre-bucketization table with raw numeric
 // columns, mirroring what the UCI CSV looks like after dropping the ID.
-func creditCardRaw(rows int, seed uint64) (*dataset.Dataset, error) {
+func CreditCardRaw(rows int, seed uint64) (*dataset.Dataset, error) {
 	names := []string{
 		"LIMIT_BAL", "SEX", "EDUCATION", "MARRIAGE", "AGE",
 		"PAY_0", "PAY_2", "PAY_3", "PAY_4", "PAY_5", "PAY_6",

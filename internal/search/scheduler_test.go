@@ -3,10 +3,13 @@ package search
 // Differential coverage for the frontier scheduler: refinement-sized
 // searches must agree exactly with raw-scan-sized searches (the PR 1
 // behaviour, reachable via DisableRefine + a negative DenseLimit) for
-// every worker count, including under a cache budget so tight that most
-// candidates fall back to scans mid-search.
+// every worker count, on small-domain data (lazy parents) and on
+// high-cardinality data (cached materialized parents), including under a
+// cache budget so tight that most candidates fall back to scans
+// mid-search.
 
 import (
+	"fmt"
 	"testing"
 
 	"pcbl/internal/core"
@@ -24,6 +27,62 @@ func schedulerDataset(t *testing.T) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// highCardDataset is the raw (non-bucketized) CreditCard table at a test
+// size: its numeric columns have hundreds to thousands of distinct values,
+// so most candidates outgrow the dense key space and are sized from cached
+// materialized parents.
+func highCardDataset(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	d, err := datagen.CreditCardRaw(3000, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// sameEnumeration fails unless a run reproduced the baseline's candidates
+// and examined/in-bound counters exactly.
+func sameEnumeration(t *testing.T, name string, base, got []lattice.AttrSet, baseStats, stats Stats) {
+	t.Helper()
+	if len(got) != len(base) {
+		t.Fatalf("%s: %d candidates, want %d", name, len(got), len(base))
+	}
+	for i := range got {
+		if got[i] != base[i] {
+			t.Fatalf("%s: candidate %d = %v, want %v", name, i, got[i], base[i])
+		}
+	}
+	if stats.SizeComputed != baseStats.SizeComputed || stats.InBound != baseStats.InBound {
+		t.Fatalf("%s: sized/in-bound %d/%d, want %d/%d",
+			name, stats.SizeComputed, stats.InBound, baseStats.SizeComputed, baseStats.InBound)
+	}
+}
+
+// TestSchedulerHighCardinality pins the cached-parent regime: on the raw
+// CreditCard table the default search must enumerate exactly what raw
+// scans do, with every examined set sized by refinement (none falls back
+// to a scan) for every worker count.
+func TestSchedulerHighCardinality(t *testing.T) {
+	d := highCardDataset(t)
+	for _, bound := range []int{50, 300} {
+		base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, DisableRefine: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			cands, stats, err := Enumerate(d, Options{Bound: bound, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEnumeration(t, fmt.Sprintf("bound=%d workers=%d", bound, workers), base, cands, baseStats, stats)
+			if stats.RefinedSets != stats.SizeComputed || stats.ScannedSets != 0 {
+				t.Fatalf("bound=%d workers=%d: refined %d scanned %d of %d sized sets",
+					bound, workers, stats.RefinedSets, stats.ScannedSets, stats.SizeComputed)
+			}
+		}
+	}
 }
 
 func TestSchedulerMatchesScanEnumeration(t *testing.T) {
@@ -68,63 +127,48 @@ func TestSchedulerMatchesScanEnumeration(t *testing.T) {
 }
 
 // TestSchedulerTinyCacheBudget starves the refinement cache so Put
-// rejections force raw-scan fallbacks mid-search on the per-child tier;
-// results must not change. The batched tier is disabled here on purpose —
-// it sizes dense-keyable candidates without any cache memory, so a starved
-// budget cannot push it onto scans (asserted at the end).
+// rejections force raw-scan fallbacks mid-search for the high-cardinality
+// candidates that need cached parents; results must not change. Lazy
+// parents size dense-keyable candidates without any cache memory, so a
+// starved budget cannot push those onto scans (asserted at the end).
 func TestSchedulerTinyCacheBudget(t *testing.T) {
-	d := schedulerDataset(t)
+	d := highCardDataset(t)
 	bound := 50
 	base, baseStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, DisableRefine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{1, 200_000} {
-		cands, stats, err := Enumerate(d, Options{Bound: bound, Workers: 2, CacheBudget: budget, DisableBatchRefine: true})
+		cands, stats, err := Enumerate(d, Options{Bound: bound, Workers: 2, CacheBudget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cands) != len(base) {
-			t.Fatalf("budget=%d: %d candidates, want %d", budget, len(cands), len(base))
-		}
-		for i := range cands {
-			if cands[i] != base[i] {
-				t.Fatalf("budget=%d: candidate %d = %v, want %v", budget, i, cands[i], base[i])
-			}
-		}
-		if stats.SizeComputed != baseStats.SizeComputed || stats.InBound != baseStats.InBound {
-			t.Fatalf("budget=%d: sized/in-bound %d/%d, want %d/%d",
-				budget, stats.SizeComputed, stats.InBound, baseStats.SizeComputed, baseStats.InBound)
-		}
+		sameEnumeration(t, fmt.Sprintf("budget=%d", budget), base, cands, baseStats, stats)
 		if budget == 1 && stats.ScannedSets == 0 {
 			t.Fatal("budget=1: expected scan fallbacks, got none")
 		}
 	}
-	// With the batched tier on, a starved cache must not change results
-	// either — and must not push dense-keyable candidates onto scans.
+	// On small-domain data a starved cache must not change results either
+	// — and must not push dense-keyable candidates onto scans.
+	d = schedulerDataset(t)
+	base, baseStats, err = Enumerate(d, Options{Bound: bound, Workers: 1, DisableRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cands, stats, err := Enumerate(d, Options{Bound: bound, Workers: 2, CacheBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) != len(base) {
-		t.Fatalf("batched budget=1: %d candidates, want %d", len(cands), len(base))
-	}
-	for i := range cands {
-		if cands[i] != base[i] {
-			t.Fatalf("batched budget=1: candidate %d = %v, want %v", i, cands[i], base[i])
-		}
-	}
-	if stats.BatchRefines == 0 {
-		t.Fatal("batched budget=1: batch tier never fired")
+	sameEnumeration(t, "small-domain budget=1", base, cands, baseStats, stats)
+	if stats.BatchRefines == 0 || stats.ScannedSets != 0 {
+		t.Fatalf("small-domain budget=1: batches=%d scanned=%d, want lazy refinement only", stats.BatchRefines, stats.ScannedSets)
 	}
 }
 
-// TestSchedulerBatchAblation pins the three sizing tiers against each
-// other: batched sibling refinement (default), per-child cached-parent
-// refinement (DisableBatchRefine — the PR 2 path, kept reachable for
-// ablation) and raw scans (DisableRefine) must enumerate identical
-// candidates with identical examined/in-bound counters, and the counters
-// must attribute the work to the right tier.
+// TestSchedulerBatchAblation pins the sizing tiers against each other:
+// batched refinement (default) and raw scans (DisableRefine) must
+// enumerate identical candidates with identical examined/in-bound
+// counters, and the counters must attribute the work to the right tier.
 func TestSchedulerBatchAblation(t *testing.T) {
 	d := schedulerDataset(t)
 	for _, bound := range []int{10, 100} {
@@ -132,32 +176,13 @@ func TestSchedulerBatchAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perChild, pcStats, err := Enumerate(d, Options{Bound: bound, Workers: 1, DisableBatchRefine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		batched, bStats, err := Enumerate(d, Options{Bound: bound, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][]lattice.AttrSet{"per-child": perChild, "batched": batched} {
-			if len(got) != len(scan) {
-				t.Fatalf("bound=%d %s: %d candidates, scan path %d", bound, name, len(got), len(scan))
-			}
-			for i := range got {
-				if got[i] != scan[i] {
-					t.Fatalf("bound=%d %s: candidate %d = %v, scan path %v", bound, name, i, got[i], scan[i])
-				}
-			}
-		}
-		for name, st := range map[string]Stats{"per-child": pcStats, "batched": bStats} {
-			if st.SizeComputed != scanStats.SizeComputed || st.InBound != scanStats.InBound {
-				t.Fatalf("bound=%d %s: sized/in-bound %d/%d, scan path %d/%d",
-					bound, name, st.SizeComputed, st.InBound, scanStats.SizeComputed, scanStats.InBound)
-			}
-		}
-		if pcStats.BatchRefines != 0 {
-			t.Fatalf("bound=%d: per-child run reports %d batch passes", bound, pcStats.BatchRefines)
+		sameEnumeration(t, fmt.Sprintf("bound=%d", bound), scan, batched, scanStats, bStats)
+		if scanStats.BatchRefines != 0 || scanStats.RefinedSets != 0 {
+			t.Fatalf("bound=%d: scan run reports %d batch passes, %d refined sets", bound, scanStats.BatchRefines, scanStats.RefinedSets)
 		}
 		if bStats.BatchRefines == 0 {
 			t.Fatalf("bound=%d: batched run never used the batch tier", bound)

@@ -9,6 +9,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,14 +59,6 @@ type Options struct {
 	// identical either way (refinement is exact); only the work changes.
 	DisableRefine bool
 
-	// DisableBatchRefine turns off the batched slot-keyed refinement tier
-	// only: dense-keyable candidates are sized through the per-child
-	// cached-parent path (Refine/RefineSize against a bounded-memory
-	// PCCache — the PR 2 engine behaviour) instead of batched sibling
-	// passes over virtual parent group vectors. Result-identical; the knob
-	// exists for ablation.
-	DisableBatchRefine bool
-
 	// CacheBudget bounds the refinement cache's retained memory in bytes;
 	// 0 means core.DefaultPCCacheBudget. When the budget fills, candidate
 	// sets without a cached parent fall back to raw fused scans.
@@ -99,7 +92,7 @@ type Options struct {
 	// Ctx cancels the search cooperatively — cancel it or give it a
 	// deadline to bound a runaway search. Both phases poll it: enumeration
 	// at row-block granularity inside fused sizing scans and refinement
-	// passes (and between refinement chunks), evaluation between candidate
+	// passes (and between cached-parent builds), evaluation between candidate
 	// labels and at block granularity inside each label build. A fired
 	// context abandons the search, releases every spill-backed label
 	// already built (no temp files survive), and returns the typed context
@@ -137,16 +130,17 @@ type Stats struct {
 	// evaluations across the final phase; early termination keeps it far
 	// below Evaluated × |P|.
 	PatternsScanned int64
-	// RefinedSets counts examined sets sized by refinement — batched
-	// sibling passes or per-child refinement of a cached parent PC —
+	// RefinedSets counts examined sets sized by batched refinement — of a
+	// lazy dense-keyed parent or of a cached materialized parent —
 	// instead of a raw scan.
 	RefinedSets int
 	// ScannedSets counts examined sets sized by raw fused dataset scans —
 	// sets with no refinable parent, or every set when refinement is off.
 	ScannedSets int
-	// BatchRefines counts batched sibling-refinement passes: each sized a
-	// whole batch of same-parent candidates in one blocked pass over the
-	// parent's (virtual) group assignment (core.RefineBatch).
+	// BatchRefines counts batched refinement passes
+	// (core.RefinablePC.RefineSizeBatch): each sized every same-level
+	// candidate extending one parent — lazy or cached — in one blocked
+	// pass over the parent's (possibly virtual) group assignment.
 	BatchRefines int
 	// PoolHits and PoolMisses report the slab pool's cumulative counters:
 	// how often a group vector, count slab or key-block scratch was
@@ -234,28 +228,23 @@ func sizeFrontier(d *dataset.Dataset, sets []lattice.AttrSet, opts Options, stat
 	return nil
 }
 
-// refineBatch bounds how many refinement tasks run between cache updates,
-// capping the transient memory of freshly built child indexes before they
-// are offered to the (budget-enforcing) cache.
-const refineBatch = 64
-
-// refineTask is one candidate set scheduled onto the per-child (eager)
-// refinement path.
-type refineTask struct {
-	idx    int               // index into the level's set slice
-	parent *core.RefinablePC // cached parent to refine from
-	attr   int               // the one attribute the candidate adds
-	child  *core.RefinablePC // built during the pass when within bound
-}
-
 // sibBatch is one batched refinement unit: all same-level candidates that
-// extend the same gen parent by one attribute. The parent is a lazy
-// slot-keyed index — its group ids are the dense mixed-radix keys, so no
-// group vector is ever materialized; core.RefineBatch streams the keys
-// blockwise and sizes every sibling in one pass.
+// extend the same parent by one attribute, sized by one
+// core.RefinablePC.RefineSizeBatch pass. The parent is either a lazy
+// slot-keyed index (the candidates' gen parent when its key space stays
+// dense; its group ids are the dense mixed-radix keys, streamed
+// blockwise, so no group vector exists) or a materialized index from the
+// cache.
 type sibBatch struct {
 	parent *core.RefinablePC
 	lo, hi int // half-open range into the level's batchIdx/batchAttrs
+}
+
+// cachedRef is a candidate routed to a cached materialized parent.
+type cachedRef struct {
+	parent *core.RefinablePC
+	idx    int // index into the level's set slice
+	attr   int // the one attribute the candidate adds
 }
 
 // sizeResult is a candidate set's sizing verdict.
@@ -267,27 +256,30 @@ type sizeResult struct {
 // levelSizer is the frontier scheduler of the enumeration phase. Per
 // candidate set it chooses the cheapest sizing source, in order:
 //
-//   - batched sibling refinement, when the candidate is dense-keyable: the
-//     level's candidates are grouped by gen parent before dispatch, and
-//     one core.RefineBatch pass per (parent, sibling-batch) sizes them all
-//     against virtual parent group vectors — no per-set allocation beyond
-//     pooled compact-space slabs;
-//   - per-child refinement of a cached parent PC (the PR 2 path) for
-//     candidates beyond the dense tier whose parent index is cached;
+//   - a lazy gen parent, when the candidate is dense-keyable: its gen
+//     parent's group vector is virtual, so sizing needs no per-set
+//     allocation beyond pooled compact-space slabs;
+//   - the cached materialized parent with the fewest groups, for
+//     candidates beyond the dense tier;
 //   - the fused raw scan otherwise.
 //
-// In-bound candidates that will be needed as non-lazy parents are cached
-// eagerly (within a memory budget), levels the frontier has moved past are
-// evicted into the slab pool, and all scratch cycles through that pool, so
-// steady-state sizing allocates a near-constant working set. Every routing
-// and caching decision happens in deterministic slice order; results and
-// counters are identical for all worker counts.
+// Both refinement sources feed the one batched kernel: candidates are
+// grouped by parent (gen-parent runs for lazy parents, first-appearance
+// order for cached ones) and every group is sized by one RefineSizeBatch
+// pass. After the level is sized, the previous level's parents leave the
+// cache — their group vectors return to the slab pool — and then in-bound
+// candidates that some gen child will need as a materialized parent are
+// built into the cache (within a memory budget), drawing those vectors
+// right back out. All scratch cycles through the pool, so steady-state
+// sizing allocates a near-constant working set. Every routing and caching
+// decision happens in deterministic slice order; results and counters are
+// identical for all worker counts.
 type levelSizer struct {
 	d     *dataset.Dataset
 	n     int
 	opts  Options
 	stats *Stats
-	cache *core.PCCache // created on demand; serves the eager tier
+	cache *core.PCCache // created on demand: holds materialized parents
 	pool  *core.VecPool
 	scan  core.ScanStats
 
@@ -295,18 +287,17 @@ type levelSizer struct {
 	batches    []sibBatch
 	batchIdx   []int // candidate index per batched child
 	batchAttrs []int // added attribute per batched child
-	batchRadix []int // child key space per batched child (eager-need check)
-	specs      []core.BatchSpec
-	tasks      []refineTask
+	batchRadix []int // child key space per batched child; -1 when not dense-keyable
+	cached     []cachedRef
 	scanSets   []lattice.AttrSet
 	scanIdx    []int
 }
 
-// newLevelSizer builds the scheduler. Candidates on the batched tier need
+// newLevelSizer builds the scheduler. Candidates with a lazy parent need
 // no precomputed parents at all (any dense-keyable set is refinable-from
-// lazily), so the cache is seeded only with the singleton refinables that
-// non-dense level-2 candidates will look up — and skipped entirely when
-// every pair is dense-keyable.
+// lazily), so the cache is seeded only with the singletons that level-2
+// candidates beyond the dense tier will look up — and skipped entirely
+// when every pair is dense-keyable.
 func newLevelSizer(d *dataset.Dataset, opts Options, stats *Stats) *levelSizer {
 	z := &levelSizer{d: d, n: d.NumAttrs(), opts: opts, stats: stats}
 	// Size the arena to the refinement cache it backs: a level eviction
@@ -320,60 +311,51 @@ func newLevelSizer(d *dataset.Dataset, opts Options, stats *Stats) *levelSizer {
 	if opts.DisableRefine {
 		return z
 	}
-	// A singleton {a} must be cached eagerly when some pair containing a
-	// cannot take the batched tier: its sizing then goes through the
-	// per-child path, which looks the singleton up in the cache.
 	var eager []int
 	for a := 0; a < z.n; a++ {
-		need := opts.DisableBatchRefine
-		if !need {
-			radix, ok := core.DenseKeyable(d, lattice.NewAttrSet(a))
-			if !ok {
-				need = true
-			} else {
-				for b := a + 1; b < z.n; b++ {
-					if !core.DenseExtendable(d, radix, b) {
-						need = true
-						break
-					}
-				}
-			}
+		single := lattice.NewAttrSet(a)
+		radix, ok := core.DenseKeyable(d, single)
+		if !ok {
+			radix = -1
 		}
-		if need {
+		if z.needsParent(single, radix) {
 			eager = append(eager, a)
 		}
 	}
 	if len(eager) == 0 {
 		return z
 	}
-	root := core.BuildRefinable(d, lattice.AttrSet(0), z.pool)
-	if root == nil {
-		return z // dataset too large for group vectors: scan-only eager tier
-	}
-	z.ensureCache()
+	z.cache = core.NewPCCache(opts.CacheBudget, z.pool)
 	singles := make([]*core.RefinablePC, len(eager))
 	workpool.Do(len(eager), opts.Workers, func(i int) {
-		singles[i], _, _ = root.Refine(d, eager[i], -1, z.pool)
+		singles[i] = core.BuildRefinable(d, lattice.NewAttrSet(eager[i]), z.pool)
 	})
 	for _, r := range singles {
-		if !z.cache.Put(r) {
+		if r != nil && !z.cache.Put(r) {
 			r.Release(z.pool)
 		}
 	}
-	root.Release(z.pool)
 	return z
 }
 
-func (z *levelSizer) ensureCache() {
-	if z.cache == nil {
-		z.cache = core.NewPCCache(z.opts.CacheBudget, z.pool)
+// needsParent reports whether set s must be materialized for the next
+// level: some gen child s ∪ {a} (a above every member) cannot take a lazy
+// parent, so its sizing looks s up in the cache. radix is s's dense key
+// space, or -1 when s is not dense-keyable.
+func (z *levelSizer) needsParent(s lattice.AttrSet, radix int) bool {
+	for a := s.MaxIndex() + 1; a < z.n; a++ {
+		if radix < 0 || !core.DenseExtendable(z.d, radix, a) {
+			return true
+		}
 	}
+	return false
 }
 
-// sizeLevel sizes one slice of same-level candidate sets, invoking visit
-// for each in input order with its in-bound verdict. A fired Options.Ctx
-// aborts the level and returns the typed context error; no verdicts are
-// visited for a cancelled level.
+// sizeLevel sizes one lattice level of candidate sets — the whole level in
+// one call, since the previous level's parents are evicted at its end —
+// invoking visit for each in input order with its in-bound verdict. A
+// fired Options.Ctx aborts the level and returns the typed context error;
+// no verdicts are visited for a cancelled level.
 func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.AttrSet, within bool)) error {
 	if len(sets) == 0 {
 		return nil
@@ -386,40 +368,39 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	z.batchIdx = z.batchIdx[:0]
 	z.batchAttrs = z.batchAttrs[:0]
 	z.batchRadix = z.batchRadix[:0]
-	z.tasks = z.tasks[:0]
+	z.cached = z.cached[:0]
 	z.scanSets = z.scanSets[:0]
 	z.scanIdx = z.scanIdx[:0]
 
-	// Route every candidate: batched tier grouped by gen parent (children
-	// of one parent are consecutive in both traversals, so grouping is a
-	// run-length pass), then cached-parent per-child refinement, then raw
-	// scan. All routing is deterministic slice order.
-	batchOK := !z.opts.DisableRefine && !z.opts.DisableBatchRefine
+	// Route every candidate: lazy gen parent (children of one parent are
+	// consecutive in both traversals, so grouping is a run-length pass),
+	// then cached materialized parent, then raw scan. All routing is
+	// deterministic slice order.
 	curParent := lattice.AttrSet(0)
 	curKnown := false // curLazy (possibly nil) is the verdict for curParent
 	var curLazy *core.RefinablePC
 	for i, s := range sets {
-		if batchOK && !s.IsEmpty() {
-			max := s.MaxIndex()
-			p := s.Remove(max)
+		if !z.opts.DisableRefine && !s.IsEmpty() {
+			top := s.MaxIndex()
+			p := s.Remove(top)
 			if !curKnown || p != curParent {
 				z.flushBatch()
 				curParent, curKnown = p, true
 				curLazy, _ = core.LazyRefinable(z.d, p)
 			}
-			if curLazy != nil && core.DenseExtendable(z.d, curLazy.KeySpace(), max) {
+			if curLazy != nil && core.DenseExtendable(z.d, curLazy.KeySpace(), top) {
 				if len(z.batches) == 0 || z.batches[len(z.batches)-1].parent != curLazy {
 					z.batches = append(z.batches, sibBatch{parent: curLazy, lo: len(z.batchIdx)})
 				}
 				z.batchIdx = append(z.batchIdx, i)
-				z.batchAttrs = append(z.batchAttrs, max)
-				z.batchRadix = append(z.batchRadix, curLazy.KeySpace()*z.d.Attr(max).DomainSize())
+				z.batchAttrs = append(z.batchAttrs, top)
+				z.batchRadix = append(z.batchRadix, curLazy.KeySpace()*z.d.Attr(top).DomainSize())
 				continue
 			}
 		}
 		var parent *core.RefinablePC
 		attr := -1
-		if z.cache != nil && !z.opts.DisableRefine {
+		if z.cache != nil {
 			for _, a := range s.Members() {
 				if p := z.cache.Get(s.Remove(a)); p != nil && (parent == nil || p.Groups() < parent.Groups()) {
 					parent, attr = p, a
@@ -427,22 +408,20 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 			}
 		}
 		if parent != nil {
-			z.tasks = append(z.tasks, refineTask{idx: i, parent: parent, attr: attr})
+			z.cached = append(z.cached, cachedRef{parent: parent, idx: i, attr: attr})
 		} else {
 			z.scanIdx = append(z.scanIdx, i)
 			z.scanSets = append(z.scanSets, s)
 		}
 	}
 	z.flushBatch()
+	z.batchCached()
 
-	if err := z.runBatches(sets); err != nil {
-		return err
-	}
-	if err := z.runTasks(sets); err != nil {
+	if err := z.runBatches(); err != nil {
 		return err
 	}
 
-	// Raw-scan path for candidates on neither refinement tier. Spilled
+	// Raw-scan path for candidates with no refinable parent. Spilled
 	// candidates (byte-key sets over the memory budget) are routed inside
 	// the fused sizing call onto external spill scans.
 	co := core.CountOptions{Workers: z.opts.Workers, DenseLimit: z.opts.DenseLimit, Stats: &z.scan, Pool: z.pool, MemBudget: z.opts.MemBudget, SpillDir: z.opts.SpillDir, FS: z.opts.FS, Ctx: z.opts.Ctx}
@@ -457,7 +436,16 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 		}
 	}
 
-	z.stats.RefinedSets += len(z.batchIdx) + len(z.tasks)
+	// The level is sized: its parents are done. Evict them before the
+	// builds below so their group vectors go back to the pool first.
+	if z.cache != nil {
+		z.cache.DropBelow(sets[0].Size())
+	}
+	if err := z.buildParents(sets); err != nil {
+		return err
+	}
+
+	z.stats.RefinedSets += len(z.batchIdx)
 	z.stats.ScannedSets += len(z.scanSets)
 	z.stats.BatchRefines += len(z.batches)
 	z.stats.DenseSets = z.scan.Dense
@@ -480,11 +468,11 @@ func (z *levelSizer) sizeLevel(sets []lattice.AttrSet, visit func(s lattice.Attr
 	}
 	// Drop parent references before the buffers are length-reset, so the
 	// reused backing arrays cannot pin evicted levels' group vectors.
-	for i := range z.tasks {
-		z.tasks[i].parent = nil
-	}
 	for i := range z.batches {
 		z.batches[i].parent = nil
+	}
+	for i := range z.cached {
+		z.cached[i].parent = nil
 	}
 	return nil
 }
@@ -496,13 +484,36 @@ func (z *levelSizer) flushBatch() {
 	}
 }
 
-// runBatches executes the batched tier: one RefineSizeBatch pass per
-// (parent, sibling-batch), dispatched across workers — batches run
-// concurrently when the level has many, and a lone batch shards its rows
-// instead. Afterwards, in-bound candidates whose own children cannot all
-// take the batched tier are built eagerly into the cache (sequentially,
-// in slice order), so the per-child tier has parents at the next level.
-func (z *levelSizer) runBatches(sets []lattice.AttrSet) error {
+// batchCached appends the cached-parent candidates to the batch lists
+// behind the lazy batches: one batch per parent, parents in order of first
+// appearance, each batch's children in slice order.
+func (z *levelSizer) batchCached() {
+	if len(z.cached) == 0 {
+		return
+	}
+	rank := make(map[*core.RefinablePC]int)
+	for _, c := range z.cached {
+		if _, seen := rank[c.parent]; !seen {
+			rank[c.parent] = len(rank)
+		}
+	}
+	slices.SortStableFunc(z.cached, func(a, b cachedRef) int { return rank[a.parent] - rank[b.parent] })
+	for _, c := range z.cached {
+		if n := len(z.batches); n == 0 || z.batches[n-1].parent != c.parent {
+			z.flushBatch()
+			z.batches = append(z.batches, sibBatch{parent: c.parent, lo: len(z.batchIdx)})
+		}
+		z.batchIdx = append(z.batchIdx, c.idx)
+		z.batchAttrs = append(z.batchAttrs, c.attr)
+		z.batchRadix = append(z.batchRadix, -1)
+	}
+	z.flushBatch()
+}
+
+// runBatches sizes every batch — one RefineSizeBatch pass per (parent,
+// sibling-batch), dispatched across workers: batches run concurrently
+// when the level has many, and a lone batch shards its rows instead.
+func (z *levelSizer) runBatches() error {
 	nb := len(z.batches)
 	if nb == 0 {
 		return nil
@@ -532,118 +543,35 @@ func (z *levelSizer) runBatches(sets []lattice.AttrSet) error {
 			return err
 		}
 	}
-
-	// Boundary builds: a batched in-bound candidate some of whose gen
-	// children exceed the dense key space will be needed as a materialized
-	// parent next level. Build it from a raw scan within the cache budget.
-	for _, b := range z.batches {
-		for k := b.lo; k < b.hi; k++ {
-			i := z.batchIdx[k]
-			s := sets[i]
-			if !z.results[i].within || s.Size() >= z.n {
-				continue
-			}
-			radix := z.batchRadix[k]
-			need := false
-			for a := s.MaxIndex() + 1; a < z.n; a++ {
-				if !core.DenseExtendable(z.d, radix, a) {
-					need = true
-					break
-				}
-			}
-			if !need {
-				continue
-			}
-			z.ensureCache()
-			if !z.cache.HasRoom() {
-				continue
-			}
-			// A boundary build is a full raw scan; poll the context between
-			// builds so a cancelled search stops growing the cache.
-			if err := ctxErr(z.opts.Ctx); err != nil {
-				return err
-			}
-			if child := core.BuildRefinable(z.d, s, z.pool); child != nil && !z.cache.Put(child) {
-				child.Release(z.pool)
-			}
-		}
-	}
 	return nil
 }
 
-// runTasks executes the per-child (eager) tier, chunked so freshly built
-// child indexes are offered to the cache's budget check before more are
-// built. Each chunk builds only as many children as the cache has bytes of
-// room for (a child's group vector costs ~4 bytes per row); the rest of
-// the chunk sizes without building, so transient memory stays within the
-// budget rather than within refineBatch × child size.
-//
-// Eviction is level-pipelined: a parent whose last referencing task has
-// completed is dropped from the cache right after its chunk — its group
-// vector and tables return to the pool before the next chunk's child
-// builds allocate — rather than held until endLevel. That roughly halves
-// the eager tier's peak (the old scheme held a full level of consumed
-// parents alongside the level being built), and the freed budget lets the
-// same CacheBudget retain more of the children that are still to be used.
-// Every decision that shapes the next level's cache happens in
-// deterministic slice order, so results and path counters are reproducible
-// for any worker count.
-func (z *levelSizer) runTasks(sets []lattice.AttrSet) error {
-	if len(z.tasks) == 0 {
-		return nil
-	}
-	lastUse := make(map[*core.RefinablePC]int, len(z.tasks))
-	for i := range z.tasks {
-		lastUse[z.tasks[i].parent] = i
-	}
-	childBytes := int64(z.d.NumRows())*4 + 4096
-	for lo := 0; lo < len(z.tasks); lo += refineBatch {
-		// Per-child refinements are pure in-memory passes; polling the
-		// context once per chunk keeps cancellation latency at one chunk
-		// of compact-space work without touching the refine hot loop.
+// buildParents materializes the next level's cached parents: every
+// in-bound refined candidate some of whose gen children cannot take a
+// lazy parent is built from a raw scan, sequentially in batch order,
+// while the cache has room.
+func (z *levelSizer) buildParents(sets []lattice.AttrSet) error {
+	for k, i := range z.batchIdx {
+		s := sets[i]
+		if !z.results[i].within || !z.needsParent(s, z.batchRadix[k]) {
+			continue
+		}
+		if z.cache == nil {
+			z.cache = core.NewPCCache(z.opts.CacheBudget, z.pool)
+		}
+		if !z.cache.HasRoom() {
+			return nil
+		}
+		// A build is a full raw scan; poll the context between builds so a
+		// cancelled search stops growing the cache.
 		if err := ctxErr(z.opts.Ctx); err != nil {
 			return err
 		}
-		hi := min(lo+refineBatch, len(z.tasks))
-		chunk := z.tasks[lo:hi]
-		buildAllowance := int(z.cache.Room() / childBytes)
-		workpool.Do(len(chunk), z.opts.Workers, func(ti int) {
-			t := &chunk[ti]
-			s := sets[t.idx]
-			if ti < buildAllowance && s.Size() < z.n {
-				child, size, within := t.parent.Refine(z.d, t.attr, z.opts.Bound, z.pool)
-				t.child = child
-				z.results[t.idx] = sizeResult{size, within}
-			} else {
-				size, within := t.parent.RefineSize(z.d, t.attr, z.opts.Bound, z.pool)
-				z.results[t.idx] = sizeResult{size, within}
-			}
-		})
-		for i := range chunk {
-			if chunk[i].child != nil {
-				if !z.cache.Put(chunk[i].child) {
-					chunk[i].child.Release(z.pool)
-				}
-				chunk[i].child = nil
-			}
-		}
-		for i := lo; i < hi; i++ {
-			p := z.tasks[i].parent
-			if last, live := lastUse[p]; live && last < hi {
-				delete(lastUse, p)
-				z.cache.Drop(p.Attrs())
-			}
+		if r := core.BuildRefinable(z.d, s, z.pool); r != nil && !z.cache.Put(r) {
+			r.Release(z.pool)
 		}
 	}
 	return nil
-}
-
-// endLevel tells the scheduler the whole lattice level has been sized:
-// indexes below it can no longer serve as parents and are evicted.
-func (z *levelSizer) endLevel(level int) {
-	if z.cache != nil {
-		z.cache.DropBelow(level)
-	}
 }
 
 // Naive finds the optimal label by level-wise enumeration (paper §III):
@@ -682,7 +610,6 @@ func Naive(d *dataset.Dataset, ps *core.PatternSet, opts Options) (*Result, erro
 		}); err != nil {
 			return nil, err
 		}
-		sizer.endLevel(k)
 		if !levelHit {
 			break
 		}
@@ -748,7 +675,6 @@ func enumerateTopDown(d *dataset.Dataset, opts Options) ([]lattice.AttrSet, Stat
 		}); err != nil {
 			return nil, stats, err
 		}
-		sizer.endLevel(level)
 	}
 	list := make([]lattice.AttrSet, 0, len(cands))
 	for s := range cands {

@@ -280,17 +280,12 @@ type GenerateOptions struct {
 	Engine EngineOptions
 
 	// DisableRefine turns off parent-PC reuse during enumeration: every
-	// frontier is sized by raw fused scans instead of refining cached
-	// parent indexes. The search result is identical either way; the knob
-	// exists for ablation and for memory-constrained runs (the refinement
-	// cache retains up to ~256 MiB of group vectors by default).
+	// frontier is sized by raw fused scans instead of batched refinement
+	// passes over lazy or cached parent indexes. The search result is
+	// identical either way; the knob exists for ablation and for
+	// memory-constrained runs (the refinement cache retains up to ~256 MiB
+	// of group vectors by default).
 	DisableRefine bool
-	// DisableBatchRefine turns off only the batched sibling-refinement
-	// tier of the enumeration scheduler: dense-keyable candidates are then
-	// sized one at a time against cached parent indexes (the previous
-	// engine behaviour) instead of whole same-parent batches in single
-	// passes over virtual group vectors. Result-identical; for ablation.
-	DisableBatchRefine bool
 }
 
 // GenerateLabel finds an (approximately) optimal label within the size
@@ -324,17 +319,16 @@ func GenerateCtx(ctx context.Context, d *Dataset, opts GenerateOptions) (*Search
 	}
 	eng := opts.Engine
 	so := search.Options{
-		Bound:              opts.Bound,
-		FastEval:           opts.FastEval,
-		BranchAndBound:     opts.BranchAndBound,
-		Workers:            eng.Workers,
-		DisableRefine:      opts.DisableRefine,
-		DisableBatchRefine: opts.DisableBatchRefine,
-		DenseLimit:         eng.DenseLimit,
-		MemBudget:          eng.MemBudget,
-		SpillDir:           eng.SpillDir,
-		FS:                 eng.FS,
-		Ctx:                ctx,
+		Bound:          opts.Bound,
+		FastEval:       opts.FastEval,
+		BranchAndBound: opts.BranchAndBound,
+		Workers:        eng.Workers,
+		DisableRefine:  opts.DisableRefine,
+		DenseLimit:     eng.DenseLimit,
+		MemBudget:      eng.MemBudget,
+		SpillDir:       eng.SpillDir,
+		FS:             eng.FS,
+		Ctx:            ctx,
 	}
 	switch opts.Algorithm {
 	case "", TopDown:
